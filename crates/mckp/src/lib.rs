@@ -24,9 +24,6 @@
 //!   LP-relaxation bound; used to validate the DP and as a third option.
 //! * [`brute::BruteForceSolver`] — exhaustive enumeration for tiny
 //!   instances (testing oracle).
-//! * [`fptas::FptasSolver`] — a profit-scaling FPTAS with a provable
-//!   `(1 − ε)` guarantee, the accuracy/time knob the weight-grid DP
-//!   lacks.
 //!
 //! All solvers implement the common [`Solver`] trait.
 //!
@@ -57,21 +54,17 @@ pub mod branch_bound;
 pub mod brute;
 pub mod dp;
 pub mod error;
-pub mod fptas;
 pub mod heu;
 pub mod instance;
 pub mod lp;
-pub mod observe;
 pub mod solution;
 
 pub use branch_bound::BranchBoundSolver;
 pub use brute::BruteForceSolver;
 pub use dp::DpSolver;
 pub use error::SolveError;
-pub use fptas::FptasSolver;
 pub use heu::HeuOeSolver;
 pub use instance::{Item, MckpInstance};
-pub use observe::ObservedSolver;
 pub use solution::Selection;
 
 /// A solver for [`MckpInstance`]s.

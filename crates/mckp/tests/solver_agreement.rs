@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 use rto_mckp::lp::lp_relaxation;
 use rto_mckp::{
-    BranchBoundSolver, BruteForceSolver, DpSolver, FptasSolver, HeuOeSolver, Item, MckpInstance,
-    SolveError, Solver,
+    BranchBoundSolver, BruteForceSolver, DpSolver, HeuOeSolver, Item, MckpInstance, SolveError,
+    Solver,
 };
 
 /// Strategy: a random instance with 1..=5 classes of 1..=5 items, weights
@@ -116,26 +116,6 @@ proptest! {
             prop_assert!(
                 inst.selection_profit(&f).unwrap() >= inst.selection_profit(&g).unwrap() - 1e-12
             );
-        }
-    }
-
-    #[test]
-    fn fptas_guarantee_holds(inst in small_instance(), eps_pct in 5u32..50) {
-        let eps = eps_pct as f64 / 100.0;
-        let fptas = FptasSolver::new(eps);
-        match (fptas.solve(&inst), BruteForceSolver::default().solve(&inst)) {
-            (Ok(approx), Ok(exact)) => {
-                let pa = inst.selection_profit(&approx).unwrap();
-                let pe = inst.selection_profit(&exact).unwrap();
-                prop_assert!(inst.is_feasible(&approx));
-                prop_assert!(pa <= pe + 1e-9, "fptas {pa} beat exact {pe}");
-                prop_assert!(
-                    pa >= (1.0 - eps) * pe - 1e-9,
-                    "fptas {pa} below (1-{eps}) x {pe}"
-                );
-            }
-            (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => {}
-            (x, y) => prop_assert!(false, "disagreement: {x:?} vs {y:?}"),
         }
     }
 

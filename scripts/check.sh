@@ -120,6 +120,13 @@ print(f"    100k hold: {b['calendar_ns_per_event_100000']:.1f} ns/event "
 assert ratio <= 2.0, f"calendar hold regressed {ratio:.2f}x > 2x vs committed baseline"
 EOF
 
+echo "==> mckp_bench: DP vs reference loop (identical selections, >=5x same-run speedup)"
+# The binary itself fails if any selection differs from the bench-local
+# copy of the original cell-outer DP, or if the production DP is under
+# 5x that reference at either shape (30x11 at 10^4 cells, 20x8 at 10^5).
+# Absolute ns/cell is trend data only (scripts/bench_trend).
+cargo run --release -p rto-bench --offline -q --bin mckp_bench -- --out BENCH_mckp.json
+
 echo "==> loom model tests (obs metrics + exp pool, RUSTFLAGS=--cfg loom)"
 RUSTFLAGS="--cfg loom" cargo test -p rto-obs --offline -q --test loom_metrics
 RUSTFLAGS="--cfg loom" cargo test -p rto-exp --offline -q --test loom_pool
