@@ -36,7 +36,10 @@ use std::path::{Path, PathBuf};
 /// `hot` flag on `F`, and file-level capacity evidence (`E`).
 /// v5: A8 loop facts (`O`) and `method`/`loop_depth`/`decreasing` on
 /// `C`.
-pub(crate) const CACHE_VERSION: u32 = 5;
+/// v6: one waiver grammar — malformed waivers (`W\tmalformed`) replace
+/// `relaxed-ok` waivers, and the `Relaxed` line list (`R`) is gone
+/// (L6 findings carry those lines now).
+pub(crate) const CACHE_VERSION: u32 = 6;
 
 /// 64-bit FNV-1a hash (the cache key for both file names and content).
 #[must_use]
@@ -339,14 +342,11 @@ pub fn encode(facts: &FileFacts, hash: u64) -> String {
         }
     }
     for w in &facts.waivers {
-        match &w.kind {
-            WaiverKind::Allow(rule) => {
-                let _ = writeln!(out, "W\tallow\t{}\t{}", esc(rule), w.line);
-            }
-            WaiverKind::RelaxedOk => {
-                let _ = writeln!(out, "W\trelaxed\t-\t{}", w.line);
-            }
-        }
+        let (tag, text) = match &w.kind {
+            WaiverKind::Allow(rule) => ("allow", rule),
+            WaiverKind::Malformed(problem) => ("malformed", problem),
+        };
+        let _ = writeln!(out, "W\t{tag}\t{}\t{}", esc(text), w.line);
     }
     for (name, ty, value) in &facts.consts {
         let _ = writeln!(
@@ -359,14 +359,6 @@ pub fn encode(facts: &FileFacts, hash: u64) -> String {
     }
     if facts.capacity_evidence {
         let _ = writeln!(out, "E\t1");
-    }
-    if !facts.relaxed_lines.is_empty() {
-        let lines: Vec<String> = facts
-            .relaxed_lines
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        let _ = writeln!(out, "R\t{}", lines.join(","));
     }
     out
 }
@@ -564,10 +556,8 @@ pub fn decode(text: &str, want_hash: u64) -> Option<FileFacts> {
             "W" => {
                 let kind = match parts.next()? {
                     "allow" => WaiverKind::Allow(unesc(parts.next()?)),
-                    _ => {
-                        parts.next()?;
-                        WaiverKind::RelaxedOk
-                    }
+                    "malformed" => WaiverKind::Malformed(unesc(parts.next()?)),
+                    _ => return None,
                 };
                 let line_no = parts.next()?.parse().ok()?;
                 facts.waivers.push(WaiverComment {
@@ -580,14 +570,6 @@ pub fn decode(text: &str, want_hash: u64) -> Option<FileFacts> {
                 let ty = opt_back(parts.next()?).unwrap_or_default();
                 let value = parts.next()?.parse().ok()?;
                 facts.consts.push((name, ty, value));
-            }
-            "R" => {
-                facts.relaxed_lines = parts
-                    .next()?
-                    .split(',')
-                    .map(str::parse)
-                    .collect::<Result<_, _>>()
-                    .ok()?;
             }
             _ => return None,
         }
@@ -615,9 +597,9 @@ mod tests {
     fn roundtrip_preserves_everything() {
         let src = "const CAP: u64 = 32;\n\
                    pub fn api_ns(d_ns: u64, w_ms: f64) -> u64 {\n\
-                   // lint: allow(A1): reviewed\n    let x = d_ns;\n    helper(x);\n\
+                   // analyze: allow(A1): reviewed\n    let x = d_ns;\n    helper(x);\n\
                    Duration::from_ns(d_ns);\n    v.unwrap();\n    x\n}\n\
-                   // lint: relaxed-ok: tally\n\
+                   // analyze: allow(L6) tally\n\
                    fn g(c: &AtomicU64) { c.load(Ordering::Relaxed); }\n\
                    // analyze: hot-path\n\
                    fn h(m: &HashMap<u8, u8>, s: &mut Vec<u8>) {\n\
@@ -636,7 +618,7 @@ mod tests {
         let facts = parse_file("crates/core/src/x.rs", "fn f() {}\n");
         let text = encode(&facts, 42);
         assert!(decode(&text, 43).is_none());
-        let bumped = text.replace("rto-analyze-cache\t5\t", "rto-analyze-cache\t999\t");
+        let bumped = text.replace("rto-analyze-cache\t6\t", "rto-analyze-cache\t999\t");
         assert!(decode(&bumped, 42).is_none());
     }
 

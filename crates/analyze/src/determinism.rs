@@ -34,10 +34,10 @@
 //!
 //! [`NondetFact`]: crate::facts::NondetFact
 
+use crate::allow::AllowEntry;
 use crate::facts::{FileFacts, FnFact, NondetFact};
 use crate::graph::{Gid, Graph};
 use crate::{allowlist_waived, inline_waived, Diagnostic};
-use rto_lint::allow::AllowEntry;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Crates whose findings are `deny`: nondeterminism here breaks

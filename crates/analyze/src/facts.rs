@@ -112,8 +112,9 @@ pub struct SeedFact {
     pub kind: SeedKind,
     /// 1-based source line.
     pub line: u32,
-    /// True when a reviewed waiver covers this site (inline
-    /// `// lint: allow(L3|A1): reason` or an `lint.allow.toml` entry):
+    /// True when a reviewed inline waiver covers this site
+    /// (`// analyze: allow(L3|A1): reason`; `lint.allow.toml` entries
+    /// are applied in the global phase):
     /// waived sites are treated as documented non-panicking contracts
     /// and do not seed A1 reachability.
     pub waived: bool,
@@ -496,7 +497,7 @@ impl FnFact {
 /// owning [`FileFacts`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawFinding {
-    /// Rule id (`"L1"`…`"L6"`, `"A1"`…`"A3"`).
+    /// Rule id (`"L1"`…`"L6"`, or `"A2"` for local unit findings).
     pub rule: String,
     /// 1-based source line.
     pub line: u32,
@@ -506,13 +507,16 @@ pub struct RawFinding {
     pub message: String,
 }
 
-/// The kind of a reviewed waiver comment.
+/// The kind of a waiver comment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WaiverKind {
-    /// `// lint: allow(Lx|Ax): reason`, with the rule id.
+    /// `// analyze: allow(<id>): <reason>`, with the rule id.
     Allow(String),
-    /// `// lint: relaxed-ok: reason` (L6 justification).
-    RelaxedOk,
+    /// A comment that looks like a waiver but does not follow the
+    /// grammar (unknown id, missing `:`, empty reason, or the retired
+    /// `lint:` spelling), with what is wrong. It waives nothing; A3
+    /// denies it.
+    Malformed(String),
 }
 
 /// One inline waiver comment.
@@ -523,6 +527,15 @@ pub struct WaiverComment {
     /// 1-based line the comment starts on (it covers findings on this
     /// line and the next).
     pub line: u32,
+}
+
+impl WaiverComment {
+    /// Does this comment waive a `rule` finding on `line`?
+    #[must_use]
+    pub fn covers(&self, rule: &str, line: u32) -> bool {
+        matches!(&self.kind, WaiverKind::Allow(r) if r == rule)
+            && (self.line == line || self.line.saturating_add(1) == line)
+    }
 }
 
 /// Everything the global phase needs to know about one source file.
@@ -545,8 +558,6 @@ pub struct FileFacts {
     pub a2_local: Vec<RawFinding>,
     /// Inline waiver comments found anywhere in the file.
     pub waivers: Vec<WaiverComment>,
-    /// Lines containing an `Ordering::Relaxed` token (full stream).
-    pub relaxed_lines: Vec<u32>,
     /// A4 interval sites recorded by the phase-1 walk (pre-waiver).
     pub a4: Vec<A4Site>,
     /// Atomic operations with explicit orderings (test-stripped).

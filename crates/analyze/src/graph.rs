@@ -14,9 +14,9 @@
 //! A1 reports a public function as panic-free, no call chain the
 //! scanner saw can reach a seed.
 
+use crate::allow::AllowEntry;
 use crate::facts::{FileFacts, SeedFact, SeedKind};
 use crate::{allowlist_waived, Diagnostic};
-use rto_lint::allow::AllowEntry;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Crates whose public panic-reachability findings are `deny` (the
@@ -463,7 +463,7 @@ mod tests {
         let a = parse_file(
             "crates/core/src/a.rs",
             "pub fn api(x: Option<u8>) -> u8 {\n    \
-             // lint: allow(A1): documented contract, caller validates\n    x.unwrap()\n}\n",
+             // analyze: allow(A1): documented contract, caller validates\n    x.unwrap()\n}\n",
         );
         let diags = check(&[a], &[], &deps());
         assert!(diags.iter().all(|d| d.rule != "A1"), "{diags:?}");

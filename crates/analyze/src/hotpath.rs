@@ -36,10 +36,10 @@
 //!
 //! [`AllocFact`]: crate::facts::AllocFact
 
+use crate::allow::AllowEntry;
 use crate::facts::{AllocKind, FileFacts, FnFact};
 use crate::graph::{Gid, Graph};
 use crate::{allowlist_waived, inline_waived, Diagnostic};
-use rto_lint::allow::AllowEntry;
 use std::collections::{HashMap, VecDeque};
 
 /// Run the A7 analysis over every file's facts.

@@ -39,11 +39,11 @@
 //! saturated at `i128::MAX`, no closure-capture tracking, cycles cut
 //! at ⊤) are documented in DESIGN.md §11 and §13.
 
+use crate::allow::AllowEntry;
 use crate::domains::{Abs, FltItv, IntItv, IntTy};
 use crate::facts::{A4Kind, A4Site, FileFacts, FnFact};
+use crate::lexer::{TokKind, Token};
 use crate::{allowlist_waived, inline_waived, Diagnostic};
-use rto_lint::allow::AllowEntry;
-use rto_lint::lexer::{TokKind, Token};
 use std::collections::{HashMap, VecDeque};
 
 /// Files where an unproven A4 site is a **deny** (the paper-critical
@@ -2743,7 +2743,7 @@ mod tests {
         let d = diags("crates/mckp/src/branch_bound.rs", src);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].severity, "deny");
-        let waived = "pub fn f(x: u64) -> u32 {\n    // lint: allow(A4): saturation documented\n    x as u32\n}\n";
+        let waived = "pub fn f(x: u64) -> u32 {\n    // analyze: allow(A4): saturation documented\n    x as u32\n}\n";
         assert!(diags("crates/mckp/src/branch_bound.rs", waived).is_empty());
     }
 

@@ -1,7 +1,14 @@
-//! `rto-analyze`: semantic static analysis for the rto workspace.
+//! `rto-analyze`: static analysis for the rto workspace.
 //!
-//! Three analyses run on top of `rto-lint`'s lexer:
+//! The paper's guarantees are arithmetic: integer-nanosecond
+//! demand-bound math (Theorems 1–3), densities computed from
+//! non-negative slack, deterministic EDF tie-breaking. One tool, one
+//! waiver grammar, and one report check the code that keeps them true:
 //!
+//! * **L1–L6 — token-local rules** ([`rules`]) over the shared lexer
+//!   ([`lexer`]): raw nanosecond arithmetic, exact float comparison,
+//!   panics in library crates, lossy time casts, wall clock in the
+//!   deterministic crates, and unjustified `Ordering::Relaxed` in `obs`.
 //! * **A1 — panic reachability.** An interprocedural call graph over
 //!   every workspace crate; any public function of `core`/`mckp`
 //!   (deny) or `sim`/`obs` (warn) from which a panic-family seed
@@ -11,11 +18,11 @@
 //!   inferred from naming conventions flow through let-bindings,
 //!   returns, and call arguments; cross-unit arithmetic and unguarded
 //!   `D − R` divisions are denied.
-//! * **A3 — stale waivers.** Every `lint.allow.toml` entry and every
-//!   inline `// lint: allow(..)` / `// analyze: allow(..)` /
-//!   `// lint: relaxed-ok` comment must still justify at least one
-//!   finding; dead waivers are denied so suppressions cannot outlive
-//!   the code they excused.
+//! * **A3 — stale and malformed waivers.** Every `lint.allow.toml`
+//!   entry and every inline `// analyze: allow(<id>): <reason>` comment
+//!   must still justify at least one finding, and a comment that looks
+//!   like a waiver but breaks that grammar is denied; suppressions
+//!   cannot outlive the code they excused or pass for live ones.
 //! * **A4 — interval analysis** ([`interval`]) and **A5 — concurrency
 //!   audit** ([`concurrency`]): value-range proofs for casts/divisions
 //!   and ordering/lock-cycle/blocking checks over the worker pool.
@@ -33,6 +40,11 @@
 //!   and per-function symbolic step bounds are composed bottom-up so a
 //!   `⊤`-bound function reachable from a hot-path root is denied.
 //!
+//! Escape hatches, in order of preference: fix the code; an inline
+//! `// analyze: allow(<id>): <reason>` on the finding's line or the
+//! line above ([`parse`] holds the one parser); a reviewed
+//! `lint.allow.toml` entry ([`allow`]) for whole-file suppressions.
+//!
 //! The pipeline is two-phase: phase 1 ([`parse::parse_file`]) is
 //! per-file, pure, and cached under `target/rto-analyze/` keyed by
 //! content hash ([`cache`]); phase 2 ([`graph`], [`stale`]) is global
@@ -42,6 +54,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod allow;
 pub mod cache;
 pub mod concurrency;
 pub mod determinism;
@@ -50,17 +63,101 @@ pub mod facts;
 pub mod graph;
 pub mod hotpath;
 pub mod interval;
+pub mod lexer;
 pub mod parse;
+pub mod rules;
 pub mod sarif;
 pub mod stale;
 pub mod termination;
 
-use facts::{FileFacts, WaiverKind};
-use rto_lint::allow::{self, AllowEntry};
+use allow::AllowEntry;
+use facts::FileFacts;
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+/// The rule catalogue: id and one-line description. Rendered as SARIF
+/// rule metadata, and the set of ids an inline waiver may name.
+pub const RULES: &[(&str, &str)] = &[
+    (
+        "L1",
+        "Time-unit hygiene: raw + - * / % arithmetic on a nanosecond count outside \
+         core/src/time.rs.",
+    ),
+    (
+        "L2",
+        "Exact float comparison: == or != against a float literal.",
+    ),
+    (
+        "L3",
+        "Panic in library code: unwrap/expect/panic-family macro (deny) or bare \
+         indexing (warn) in a library crate.",
+    ),
+    (
+        "L4",
+        "Lossy time cast: an `as` cast that can truncate or round a nanosecond value.",
+    ),
+    (
+        "L5",
+        "Wall clock in a seed-deterministic crate: std::time or SystemTime in core or \
+         sim.",
+    ),
+    (
+        "L6",
+        "Unjustified Ordering::Relaxed in obs: no reviewed waiver states why no \
+         happens-before edge is needed.",
+    ),
+    (
+        "A1",
+        "Panic reachable from public API: a panic!/unwrap/expect/indexing site is \
+         transitively reachable through the call graph.",
+    ),
+    (
+        "A2",
+        "Units-of-measure conflict: nanosecond/millisecond/ratio quantities mixed, or an \
+         unguarded difference used as a divisor.",
+    ),
+    (
+        "A3",
+        "Stale waiver: an allowlist entry or inline lint waiver no longer matches any \
+         finding.",
+    ),
+    (
+        "A4",
+        "Value-range hazard: interval analysis could not prove a cast lossless, a divisor \
+         nonzero, a difference non-negative, or a sum/product in range.",
+    ),
+    (
+        "A5",
+        "Concurrency hazard: unjustified non-Relaxed atomic ordering, a lock-order cycle, \
+         or a blocking call reachable from a spawned worker closure.",
+    ),
+    (
+        "A6",
+        "Determinism hazard: a public function of a replay-scoped crate can reach a \
+         nondeterminism source (hash-ordered iteration, wall clock, thread id, ambient \
+         RNG, environment or filesystem read).",
+    ),
+    (
+        "A7",
+        "Hot-path allocation: an allocating construct (unsized growth, String/format!, \
+         Box/Rc churn, collect) is reachable from a function annotated \
+         `// analyze: hot-path`.",
+    ),
+    (
+        "A8",
+        "Termination hazard: a loop without a trip-count bound or monotone progress \
+         witness, recursion without a decreasing argument, or a \u{22a4}-step-bound \
+         function reachable from a `// analyze: hot-path` root.",
+    ),
+];
+
+/// Directories whose `.rs` files are not analyzed (test code,
+/// fixtures, vendored shims, build output).
+const SKIP_DIRS: &[&str] = &[
+    "tests", "benches", "examples", "fixtures", "target", "vendor", ".git",
+];
 
 /// One diagnostic produced by the global phase, ready for rendering.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -69,7 +166,7 @@ pub struct Diagnostic {
     pub path: String,
     /// 1-based source line.
     pub line: u32,
-    /// Rule id: `"A1"`, `"A2"`, or `"A3"`.
+    /// Rule id: `"L1"` … `"L6"` or `"A1"` … `"A8"` (see [`RULES`]).
     pub rule: String,
     /// `"deny"` or `"warn"`.
     pub severity: String,
@@ -132,7 +229,7 @@ pub fn find_workspace_root() -> Result<PathBuf, String> {
 ///
 /// On unreadable files/directories or a malformed `lint.allow.toml`.
 pub fn analyze_workspace(root: &Path, use_cache: bool) -> Result<Analysis, String> {
-    let files = rto_lint::collect_workspace_files(root)?;
+    let files = collect_workspace_files(root)?;
     let allowlist = read_allowlist(root)?;
     let cache_dir = root.join("target").join("rto-analyze");
 
@@ -207,11 +304,11 @@ pub fn analyze_workspace(root: &Path, use_cache: bool) -> Result<Analysis, Strin
 
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
 
-    // Intra-function A2 findings, minus inline `allow(A2)` waivers
-    // (waivers are applied here, not at parse time, to keep the cache
-    // pure in the file content).
+    // L1–L6 and intra-function A2 findings, minus inline and allowlist
+    // waivers (waivers are applied here, not at parse time, to keep the
+    // cache pure in the file content).
     for ff in &all_facts {
-        for d in &ff.a2_local {
+        for d in ff.lint_prod.iter().chain(&ff.a2_local) {
             if !inline_waived(ff, &d.rule, d.line) && !allowlist_waived(&allowlist, ff, &d.rule) {
                 diagnostics.push(Diagnostic {
                     path: ff.rel_path.clone(),
@@ -247,22 +344,17 @@ pub fn analyze_workspace(root: &Path, use_cache: bool) -> Result<Analysis, Strin
     })
 }
 
-/// Does an inline `// lint: allow(rule): reason` waiver cover `line`?
-/// (A waiver on line *w* covers findings on *w* and *w + 1*.)
+/// Does an inline `// analyze: allow(rule): reason` waiver cover
+/// `line`? (A waiver on line *w* covers findings on *w* and *w + 1*.)
 #[must_use]
 pub fn inline_waived(ff: &FileFacts, rule: &str, line: u32) -> bool {
-    ff.waivers.iter().any(|w| {
-        matches!(&w.kind, WaiverKind::Allow(r) if r == rule)
-            && (w.line == line || w.line.saturating_add(1) == line)
-    })
+    ff.waivers.iter().any(|w| w.covers(rule, line))
 }
 
 /// Does a whole-file `lint.allow.toml` entry cover `(file, rule)`?
 #[must_use]
 pub fn allowlist_waived(allowlist: &[AllowEntry], ff: &FileFacts, rule: &str) -> bool {
-    allowlist
-        .iter()
-        .any(|e| e.rule == rule && e.covers(&ff.rel_path))
+    allowlist.iter().any(|e| e.suppresses(rule, &ff.rel_path))
 }
 
 /// Parse `lint.allow.toml` at the workspace root (absent file = empty).
@@ -274,6 +366,44 @@ fn read_allowlist(root: &Path) -> Result<Vec<AllowEntry>, String> {
     let src =
         fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     allow::parse(&src)
+}
+
+/// Collect every analyzable `.rs` file under `root`: the facade
+/// package's `src/` plus each `crates/*/src` tree, skipping
+/// [`SKIP_DIRS`].
+///
+/// # Errors
+///
+/// If a directory cannot be read.
+pub fn collect_workspace_files(root: &Path) -> Result<Vec<PathBuf>, String> {
+    let mut files = Vec::new();
+    for dir in [root.join("src"), root.join("crates")] {
+        if dir.is_dir() {
+            walk(&dir, &mut files)?;
+        }
+    }
+    files.sort();
+    Ok(files)
+}
+
+fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
+    let entries =
+        fs::read_dir(dir).map_err(|e| format!("cannot read dir {}: {e}", dir.display()))?;
+    for entry in entries {
+        let entry = entry.map_err(|e| format!("read_dir error under {}: {e}", dir.display()))?;
+        let path = entry.path();
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if path.is_dir() {
+            if SKIP_DIRS.contains(&name.as_ref()) {
+                continue;
+            }
+            walk(&path, out)?;
+        } else if name.ends_with(".rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
 }
 
 /// Direct `rto-*` dependencies of each crate, from `crates/*/Cargo.toml`
@@ -352,7 +482,7 @@ mod tests {
     fn inline_waiver_coverage() {
         let mut ff = FileFacts::default();
         ff.waivers.push(facts::WaiverComment {
-            kind: WaiverKind::Allow("A2".into()),
+            kind: facts::WaiverKind::Allow("A2".into()),
             line: 10,
         });
         assert!(inline_waived(&ff, "A2", 10));

@@ -1,8 +1,10 @@
 //! Phase 1: token-stream parsing of one file into [`FileFacts`].
 //!
-//! Reuses `rto-lint`'s lexer (strings opaque, maximal-munch
-//! punctuation, comments preserved by line) and test-region stripper,
-//! then walks the token stream with a small recursive item scanner:
+//! Runs the shared lexer ([`crate::lexer`]: strings opaque,
+//! maximal-munch punctuation, comments preserved by line), the L-rules
+//! and test-region stripper ([`crate::rules`]), and the one waiver
+//! parser (`collect_waivers`), then walks the token stream with a small
+//! recursive item scanner:
 //!
 //! ```text
 //! items := (attr* vis? (impl | trait | mod | fn | other-item))*
@@ -20,11 +22,11 @@ use crate::facts::{
     WaiverKind,
 };
 use crate::interval;
-use rto_lint::lexer::{lex, Lexed, TokKind, Token};
-use rto_lint::rules::{self, FileCtx, Finding};
+use crate::lexer::{lex, Lexed, TokKind, Token};
+use crate::rules::{self, FileCtx, Finding};
 use std::collections::{HashMap, HashSet};
 
-/// Crates whose bare indexing counts as an A1 seed (mirrors lint L3's
+/// Crates whose bare indexing counts as an A1 seed (mirrors L3's
 /// library-crate scope).
 const INDEX_SEED_CRATES: &[&str] = &["core", "mckp", "sim", "server", "obs", "stats", "workloads"];
 
@@ -194,19 +196,11 @@ pub fn parse_file(rel_path: &str, src: &str) -> FileFacts {
     let mut facts = FileFacts {
         rel_path: ctx.rel_path.clone(),
         crate_dir: ctx.crate_dir.clone(),
-        lint_prod: findings_to_raw(&rules::check(&ctx, &lexed, &stripped)),
-        lint_all: findings_to_raw(&rules::check(&ctx, &lexed, &lexed.tokens)),
+        lint_prod: findings_to_raw(&rules::check(&ctx, &stripped)),
+        lint_all: findings_to_raw(&rules::check(&ctx, &lexed.tokens)),
         ..FileFacts::default()
     };
-    facts.waivers = collect_waivers(&lexed);
-    facts.relaxed_lines = lexed
-        .tokens
-        .iter()
-        .filter(|t| t.is_ident("Relaxed"))
-        .map(|t| t.line)
-        .collect();
-    facts.relaxed_lines.sort_unstable();
-    facts.relaxed_lines.dedup();
+    let waivers = collect_waivers(&lexed);
 
     let index_seeds = ctx
         .crate_dir
@@ -225,6 +219,7 @@ pub fn parse_file(rel_path: &str, src: &str) -> FileFacts {
     let mut scanner = Scanner {
         toks: &stripped,
         lexed: &lexed,
+        waivers: &waivers,
         index_seeds,
         consts: &const_env,
         hash_idents: &hash_idents,
@@ -250,6 +245,7 @@ pub fn parse_file(rel_path: &str, src: &str) -> FileFacts {
     facts
         .atomics
         .sort_by(|a, b| (a.line, &a.op, &a.ordering).cmp(&(b.line, &b.op, &b.ordering)));
+    facts.waivers = waivers;
     facts
         .a2_local
         .sort_by(|a, b| (a.line, &a.message).cmp(&(b.line, &b.message)));
@@ -367,59 +363,54 @@ fn findings_to_raw(findings: &[Finding]) -> Vec<RawFinding> {
         .collect()
 }
 
-/// Pull `// lint: allow(Rx): reason` and `// lint: relaxed-ok: reason`
-/// comments out of the comment map.
+/// The one reader of waiver comments. A non-doc comment containing
+/// `analyze: allow(<id>): <reason>` — a known rule id, the colon, and a
+/// non-empty reason — waives `<id>` on its line and the next. A comment
+/// that mentions `analyze: allow(` but breaks that grammar, or uses the
+/// retired `lint: allow(` / `lint: relaxed-ok` spellings, is recorded
+/// as [`WaiverKind::Malformed`] so A3 can deny it instead of letting it
+/// silently waive nothing.
 ///
 /// Doc comments (`///`, `//!`) are skipped: they routinely *describe*
 /// the waiver syntax (this very workspace documents it) without waiving
-/// anything. A rule id must look like a real id (`L3`, `A1`, …) and a
-/// non-empty reason must follow, mirroring `rules::has_reason`.
+/// anything.
 fn collect_waivers(lexed: &Lexed) -> Vec<WaiverComment> {
-    let mut out = Vec::new();
-    for (&line, text) in &lexed.comments {
-        if text.starts_with("///") || text.starts_with("//!") {
-            continue;
-        }
-        // Two spellings share one machinery: `lint:` for the L-rules
-        // and the original A-rules, `analyze:` for the A6/A7 sanctions.
-        for prefix in ["lint: allow(", "analyze: allow("] {
-            if let Some(idx) = text.find(prefix) {
-                let rest = &text[idx + prefix.len()..];
-                if let Some(close) = rest.find(')') {
-                    let rule = rest[..close].trim().to_string();
-                    let reason = rest[close + 1..].trim_start_matches(':').trim();
-                    if is_rule_id(&rule) && !reason.is_empty() {
-                        out.push(WaiverComment {
-                            kind: WaiverKind::Allow(rule),
-                            line,
-                        });
-                    }
-                }
-            }
-        }
-        if let Some(idx) = text.find("lint: relaxed-ok") {
-            let reason = text[idx + "lint: relaxed-ok".len()..]
-                .trim_start_matches(':')
-                .trim();
-            if !reason.is_empty() {
-                out.push(WaiverComment {
-                    kind: WaiverKind::RelaxedOk,
-                    line,
-                });
-            }
-        }
-    }
+    let mut out: Vec<WaiverComment> = lexed
+        .comments
+        .iter()
+        .filter(|(_, text)| !text.starts_with("///") && !text.starts_with("//!"))
+        .filter_map(|(&line, text)| {
+            Some(WaiverComment {
+                kind: waiver_kind(text)?,
+                line,
+            })
+        })
+        .collect();
     out.sort_by_key(|w| w.line);
     out
 }
 
-/// `L3`, `A1`, … — one letter, then only digits.
-fn is_rule_id(s: &str) -> bool {
-    let mut chars = s.chars();
-    matches!(chars.next(), Some('L' | 'A')) && {
-        let rest = chars.as_str();
-        !rest.is_empty() && rest.chars().all(|c| c.is_ascii_digit())
+/// Classify one comment: `None` when it is not a waiver at all.
+fn waiver_kind(text: &str) -> Option<WaiverKind> {
+    const MARKER: &str = "analyze: allow(";
+    if text.contains("lint: allow(") || text.contains("lint: relaxed-ok") {
+        return Some(WaiverKind::Malformed(
+            "the retired `lint:` spelling".to_string(),
+        ));
     }
+    let rest = &text[text.find(MARKER)? + MARKER.len()..];
+    let problem = match rest.split_once(')') {
+        None => "no closing `)`".to_string(),
+        Some((id, _)) if !crate::RULES.iter().any(|(r, _)| *r == id) => {
+            format!("unknown rule id `{id}`")
+        }
+        Some((id, tail)) => match tail.strip_prefix(':') {
+            None => format!("no `:` after `allow({id})`"),
+            Some(reason) if reason.trim().is_empty() => "an empty reason".to_string(),
+            Some(_) => return Some(WaiverKind::Allow(id.to_string())),
+        },
+    };
+    Some(WaiverKind::Malformed(problem))
 }
 
 /// Unit implied by a variable/parameter name.
@@ -465,6 +456,7 @@ struct ItemCtx {
 struct Scanner<'a> {
     toks: &'a [Token],
     lexed: &'a Lexed,
+    waivers: &'a [WaiverComment],
     index_seeds: bool,
     consts: &'a HashMap<String, (String, i128)>,
     hash_idents: &'a HashSet<String>,
@@ -1753,24 +1745,14 @@ impl Scanner<'_> {
     }
 
     fn seed(&self, kind: SeedKind, line: u32) -> SeedFact {
-        let waived = ["L3", "A1"].iter().any(|r| {
-            let marker = format!("lint: allow({r}):");
-            [line, line.saturating_sub(1)]
-                .iter()
-                .any(|l| rules::has_reason(self.lexed.comment_on(*l), &marker))
-        });
+        let waived = self.sanctioned("L3", line) || self.sanctioned("A1", line);
         SeedFact { kind, line, waived }
     }
 
-    /// A reviewed `// analyze: allow(Ax): reason` (or the legacy
-    /// `lint:` spelling) on this line or the one above.
+    /// A reviewed `// analyze: allow(<rule>): reason` on this line or
+    /// the one above.
     fn sanctioned(&self, rule: &str, line: u32) -> bool {
-        ["analyze", "lint"].iter().any(|ns| {
-            let marker = format!("{ns}: allow({rule}):");
-            [line, line.saturating_sub(1)]
-                .iter()
-                .any(|l| rules::has_reason(self.lexed.comment_on(*l), &marker))
-        })
+        self.waivers.iter().any(|w| w.covers(rule, line))
     }
 
     fn nondet(&self, kind: NondetKind, line: u32, desc: String) -> NondetFact {
@@ -2114,10 +2096,29 @@ mod tests {
     #[test]
     fn waived_seed_is_marked() {
         let f = parse(
-            "fn f(x: Option<u8>) -> u8 {\n    // lint: allow(L3): reviewed contract\n    \
+            "fn f(x: Option<u8>) -> u8 {\n    // analyze: allow(L3): reviewed contract\n    \
              x.unwrap()\n}\n",
         );
         assert!(f.fns[0].seeds[0].waived);
+    }
+
+    #[test]
+    fn a1_waiver_is_applied_to_the_seed_it_records() {
+        // Regression: the `analyze:` spelling used to be recorded as a
+        // live waiver (so A3 kept quiet) while the seed stayed unwaived.
+        let f = parse(
+            "fn f(x: Option<u8>) -> u8 {\n    // analyze: allow(A1): reviewed contract\n    \
+             x.unwrap()\n}\n",
+        );
+        assert_eq!(f.waivers.len(), 1);
+        assert!(f.fns[0].seeds[0].waived);
+        // A malformed waiver neither waives the seed nor counts as one.
+        let g = parse(
+            "fn f(x: Option<u8>) -> u8 {\n    // analyze: allow(A1) reviewed contract\n    \
+             x.unwrap()\n}\n",
+        );
+        assert!(!g.fns[0].seeds[0].waived);
+        assert!(matches!(g.waivers[0].kind, WaiverKind::Malformed(_)));
     }
 
     #[test]
@@ -2162,10 +2163,40 @@ mod tests {
     #[test]
     fn waiver_comments_collected() {
         let f = parse(
-            "// lint: allow(L1): reason here\nfn f() {}\n// lint: relaxed-ok: tally\nfn g() {}\n",
+            "// analyze: allow(L1): reason here\nfn f() {}\n/// analyze: allow(L9) docs\n\
+             // analyze: allow(A8): bounded\nfn g() {}\n",
         );
-        assert_eq!(f.waivers.len(), 2);
-        assert_eq!(f.waivers[0].kind, WaiverKind::Allow("L1".into()));
-        assert_eq!(f.waivers[1].kind, WaiverKind::RelaxedOk);
+        let kinds: Vec<_> = f.waivers.iter().map(|w| (w.line, w.kind.clone())).collect();
+        assert_eq!(
+            kinds,
+            [
+                (1, WaiverKind::Allow("L1".into())),
+                (4, WaiverKind::Allow("A8".into()))
+            ]
+        );
+    }
+
+    #[test]
+    fn waiver_grammar_is_strict() {
+        assert_eq!(waiver_kind("// plain comment"), None);
+        assert_eq!(
+            waiver_kind("// analyze: allow(L6): independent counter"),
+            Some(WaiverKind::Allow("L6".into()))
+        );
+        for bad in [
+            "// analyze: allow(L3) reviewed",
+            "// analyze: allow(L3):",
+            "// analyze: allow(L3):   ",
+            "// analyze: allow(L9): no such rule",
+            "// analyze: allow( L3 ): padded id",
+            "// analyze: allow(L3",
+            "// lint: allow(L3): old spelling",
+            "// lint: relaxed-ok: old L6 spelling",
+        ] {
+            assert!(
+                matches!(waiver_kind(bad), Some(WaiverKind::Malformed(_))),
+                "{bad}"
+            );
+        }
     }
 }

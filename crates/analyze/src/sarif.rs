@@ -8,54 +8,7 @@
 //! with rule metadata, and one `result` per diagnostic with a physical
 //! location.
 
-use crate::Diagnostic;
-
-/// Rule metadata shared by the JSON and SARIF writers.
-const RULES: &[(&str, &str)] = &[
-    (
-        "A1",
-        "Panic reachable from public API: a panic!/unwrap/expect/indexing site is \
-         transitively reachable through the call graph.",
-    ),
-    (
-        "A2",
-        "Units-of-measure conflict: nanosecond/millisecond/ratio quantities mixed, or an \
-         unguarded difference used as a divisor.",
-    ),
-    (
-        "A3",
-        "Stale waiver: an allowlist entry or inline lint waiver no longer matches any \
-         finding.",
-    ),
-    (
-        "A4",
-        "Value-range hazard: interval analysis could not prove a cast lossless, a divisor \
-         nonzero, a difference non-negative, or a sum/product in range.",
-    ),
-    (
-        "A5",
-        "Concurrency hazard: unjustified non-Relaxed atomic ordering, a lock-order cycle, \
-         or a blocking call reachable from a spawned worker closure.",
-    ),
-    (
-        "A6",
-        "Determinism hazard: a public function of a replay-scoped crate can reach a \
-         nondeterminism source (hash-ordered iteration, wall clock, thread id, ambient \
-         RNG, environment or filesystem read).",
-    ),
-    (
-        "A7",
-        "Hot-path allocation: an allocating construct (unsized growth, String/format!, \
-         Box/Rc churn, collect) is reachable from a function annotated \
-         `// analyze: hot-path`.",
-    ),
-    (
-        "A8",
-        "Termination hazard: a loop without a trip-count bound or monotone progress \
-         witness, recursion without a decreasing argument, or a \u{22a4}-step-bound \
-         function reachable from a `// analyze: hot-path` root.",
-    ),
-];
+use crate::{Diagnostic, RULES};
 
 /// Render diagnostics for terminals: `path:line: [rule/severity] msg`.
 #[must_use]
@@ -199,7 +152,9 @@ mod tests {
         let s = sarif(&d);
         assert!(s.contains("\"version\": \"2.1.0\""));
         assert!(s.contains("sarif-schema-2.1.0.json"));
-        for id in ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8"] {
+        for id in [
+            "L1", "L2", "L3", "L4", "L5", "L6", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
+        ] {
             assert!(s.contains(&format!("\"id\": \"{id}\"")), "{s}");
         }
         assert!(s.contains("\"level\": \"error\""));

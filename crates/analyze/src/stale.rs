@@ -6,17 +6,19 @@
 //!
 //! * A `lint.allow.toml` entry is stale when **no** file matching its
 //!   `path` has a production (test-stripped) finding of its rule.
-//! * An inline `// lint: allow(Lx): reason` comment is stale when no
-//!   full-stream finding of rule `Lx` sits on its line or the next
+//! * An inline `// analyze: allow(Lx): reason` comment is stale when
+//!   no full-stream finding of rule `Lx` sits on its line or the next
 //!   (full stream, because waivers legitimately live in test code).
-//! * `// lint: allow(A1|A2)` must cover a panic seed / local A2
-//!   finding on its line or the next.
-//! * `// lint: relaxed-ok: reason` must sit on or directly above a
-//!   line containing an `Ordering::Relaxed` token.
+//! * `// analyze: allow(Ax): reason` must cover a site of its rule
+//!   (panic seed, local A2 finding, interval site, …) on its line or
+//!   the next.
+//! * A malformed waiver — one that mentions `analyze: allow(` but
+//!   breaks the grammar, or uses the retired `lint:` spelling — is
+//!   denied outright, so a hollow waiver cannot pass for a live one.
 
+use crate::allow::AllowEntry;
 use crate::facts::{FileFacts, WaiverKind};
 use crate::Diagnostic;
-use rto_lint::allow::AllowEntry;
 
 /// Detect stale allowlist entries and stale inline waivers.
 #[must_use]
@@ -60,38 +62,54 @@ pub fn check(files: &[FileFacts], allowlist: &[AllowEntry]) -> Vec<Diagnostic> {
 
     for ff in files {
         for w in &ff.waivers {
+            let rule = match &w.kind {
+                WaiverKind::Allow(rule) => rule,
+                WaiverKind::Malformed(problem) => {
+                    out.push(Diagnostic {
+                        path: ff.rel_path.clone(),
+                        line: w.line,
+                        rule: "A3".into(),
+                        severity: "deny".into(),
+                        message: format!(
+                            "malformed waiver: {problem} \u{2014} write \
+                             `// analyze: allow(<id>): <reason>`"
+                        ),
+                    });
+                    continue;
+                }
+            };
             let lines = [w.line, w.line.saturating_add(1)];
-            let (live, what) = match &w.kind {
-                WaiverKind::Allow(rule) if rule == "A1" => (
+            let (live, what) = match rule.as_str() {
+                "A1" => (
                     ff.fns
                         .iter()
                         .flat_map(|f| &f.seeds)
                         .any(|s| lines.contains(&s.line)),
                     "a panic-family seed".to_string(),
                 ),
-                WaiverKind::Allow(rule) if rule == "A2" => (
+                "A2" => (
                     ff.a2_local.iter().any(|f| lines.contains(&f.line)),
                     "an A2 unit finding".to_string(),
                 ),
-                WaiverKind::Allow(rule) if rule == "A4" => (
+                "A4" => (
                     ff.a4.iter().any(|s| lines.contains(&s.line)),
                     "an A4 interval site".to_string(),
                 ),
-                WaiverKind::Allow(rule) if rule == "A6" => (
+                "A6" => (
                     ff.fns
                         .iter()
                         .flat_map(|f| &f.nondet)
                         .any(|n| lines.contains(&n.line)),
                     "an A6 nondeterminism source".to_string(),
                 ),
-                WaiverKind::Allow(rule) if rule == "A7" => (
+                "A7" => (
                     ff.fns
                         .iter()
                         .flat_map(|f| &f.allocs)
                         .any(|a| lines.contains(&a.line)),
                     "an A7 allocation site".to_string(),
                 ),
-                WaiverKind::Allow(rule) if rule == "A8" => (
+                "A8" => (
                     // A loop sanction sits above the loop keyword; a
                     // recursion / hot-path sanction sits above the
                     // `fn` line of a function that makes calls.
@@ -101,7 +119,7 @@ pub fn check(files: &[FileFacts], allowlist: &[AllowEntry]) -> Vec<Diagnostic> {
                     }),
                     "an A8 loop or recursive function".to_string(),
                 ),
-                WaiverKind::Allow(rule) if rule == "A5" => (
+                "A5" => (
                     ff.atomics
                         .iter()
                         .any(|a| a.ordering != "Relaxed" && lines.contains(&a.line))
@@ -114,33 +132,22 @@ pub fn check(files: &[FileFacts], allowlist: &[AllowEntry]) -> Vec<Diagnostic> {
                         }),
                     "an A5 concurrency site".to_string(),
                 ),
-                WaiverKind::Allow(rule) => (
+                _ => (
                     ff.lint_all
                         .iter()
                         .any(|f| &f.rule == rule && lines.contains(&f.line)),
                     format!("an {rule} finding"),
                 ),
-                WaiverKind::RelaxedOk => (
-                    ff.relaxed_lines.iter().any(|l| lines.contains(l)),
-                    "an `Ordering::Relaxed` use".to_string(),
-                ),
             };
             if !live {
-                let label = match &w.kind {
-                    WaiverKind::Allow(rule) if rule == "A6" || rule == "A7" || rule == "A8" => {
-                        format!("analyze: allow({rule})")
-                    }
-                    WaiverKind::Allow(rule) => format!("lint: allow({rule})"),
-                    WaiverKind::RelaxedOk => "lint: relaxed-ok".to_string(),
-                };
                 out.push(Diagnostic {
                     path: ff.rel_path.clone(),
                     line: w.line,
                     rule: "A3".into(),
                     severity: "deny".into(),
                     message: format!(
-                        "stale inline waiver `{label}`: {what} no longer exists on this \
-                         line or the next \u{2014} remove the comment"
+                        "stale inline waiver `analyze: allow({rule})`: {what} no longer \
+                         exists on this line or the next \u{2014} remove the comment"
                     ),
                 });
             }
@@ -214,7 +221,7 @@ mod tests {
     fn stale_inline_waiver_is_denied() {
         let ff = parse_file(
             "crates/core/src/x.rs",
-            "fn f() {\n    // lint: allow(L3): nothing here anymore\n    let _x = 1;\n}\n",
+            "fn f() {\n    // analyze: allow(L3): nothing here anymore\n    let _x = 1;\n}\n",
         );
         let diags = check(&[ff], &[]);
         assert_eq!(diags.len(), 1, "{diags:?}");
@@ -226,25 +233,86 @@ mod tests {
         let ff = parse_file(
             "crates/core/src/x.rs",
             "fn f(v: &[u8], i: usize) -> u8 {\n    \
-             // lint: allow(L3): structurally in bounds\n    v[i]\n}\n",
+             // analyze: allow(L3): structurally in bounds\n    v[i]\n}\n",
         );
         let diags = check(&[ff], &[]);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
-    fn relaxed_ok_requires_relaxed_token() {
+    fn l6_waiver_requires_relaxed_token() {
         let live = parse_file(
             "crates/obs/src/x.rs",
             "fn f(c: &std::sync::atomic::AtomicU64) {\n    \
-             // lint: relaxed-ok: independent counter\n    \
+             // analyze: allow(L6): independent counter\n    \
              c.fetch_add(1, std::sync::atomic::Ordering::Relaxed);\n}\n",
         );
         assert!(check(&[live], &[]).is_empty());
         let dead = parse_file(
             "crates/obs/src/x.rs",
-            "fn f() {\n    // lint: relaxed-ok: nothing\n    let _x = 1;\n}\n",
+            "fn f() {\n    // analyze: allow(L6): nothing\n    let _x = 1;\n}\n",
         );
         assert_eq!(check(&[dead], &[]).len(), 1);
+        // Outside `obs` there is no L6 finding to justify.
+        let elsewhere = parse_file(
+            "crates/exp/src/x.rs",
+            "fn f(c: &std::sync::atomic::AtomicU64) {\n    \
+             // analyze: allow(L6): independent counter\n    \
+             c.fetch_add(1, std::sync::atomic::Ordering::Relaxed);\n}\n",
+        );
+        assert_eq!(check(&[elsewhere], &[]).len(), 1);
+    }
+
+    /// The single A3 diagnostic for a file holding one comment line
+    /// `comment` above a live L3 indexing finding.
+    fn malformed(comment: &str) -> Diagnostic {
+        let ff = parse_file(
+            "crates/core/src/x.rs",
+            &format!("fn f(v: &[u8], i: usize) -> u8 {{\n    {comment}\n    v[i]\n}}\n"),
+        );
+        let diags = check(&[ff], &[]);
+        assert_eq!(diags.len(), 1, "{comment}: {diags:?}");
+        assert_eq!(diags[0].rule, "A3");
+        assert_eq!(diags[0].severity, "deny");
+        assert_eq!(diags[0].line, 2);
+        assert!(
+            diags[0].message.starts_with("malformed waiver"),
+            "{diags:?}"
+        );
+        diags[0].clone()
+    }
+
+    #[test]
+    fn analyze_waiver_breaking_the_grammar_is_malformed() {
+        for (comment, problem) in [
+            // Hollow: no colon, so it used to pass for a live waiver.
+            ("// analyze: allow(L3) reviewed", "no `:`"),
+            ("// analyze: allow(L3):", "empty reason"),
+            (
+                "// analyze: allow(L7): no such rule",
+                "unknown rule id `L7`",
+            ),
+        ] {
+            let d = malformed(comment);
+            assert!(d.message.contains(problem), "{comment}: {d:?}");
+        }
+    }
+
+    #[test]
+    fn retired_lint_spellings_are_malformed() {
+        for comment in [
+            "// lint: allow(L3): structurally in bounds",
+            "// lint: relaxed-ok: independent counter",
+        ] {
+            let d = malformed(comment);
+            assert!(d.message.contains("retired `lint:` spelling"), "{d:?}");
+        }
+        // Even with a colon and a reason, the old spelling waives nothing.
+        let ff = parse_file(
+            "crates/core/src/x.rs",
+            "fn f(v: &[u8], i: usize) -> u8 {\n    \
+             // lint: allow(L3): structurally in bounds\n    v[i]\n}\n",
+        );
+        assert!(!crate::inline_waived(&ff, "L3", 3));
     }
 }

@@ -33,10 +33,10 @@
 //! must not become a cycle. The cost is under-approximation on
 //! method-call edges, recorded as a soundness caveat in DESIGN.md §16.
 
+use crate::allow::AllowEntry;
 use crate::facts::{FileFacts, LoopKind};
 use crate::interval::tarjan_sccs;
 use crate::{allowlist_waived, inline_waived, Diagnostic};
-use rto_lint::allow::AllowEntry;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Workspace-relative files whose A8 loop/recursion findings are

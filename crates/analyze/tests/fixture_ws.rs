@@ -107,6 +107,40 @@ fn a3_reports_stale_waivers_only() {
 }
 
 #[test]
+fn l_rules_set_is_exact() {
+    let a = analyze();
+    let l: Vec<String> = a
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule.starts_with('L'))
+        .map(|d| format!("{}:{} {}/{}", d.path, d.line, d.rule, d.severity))
+        .collect();
+    assert_eq!(
+        l,
+        [
+            "crates/core/src/deep.rs:4 L1/deny",
+            "crates/core/src/deep.rs:10 L3/deny",
+            // An `allow(A1)` waiver clears the A1 seed, not the L3 finding.
+            "crates/core/src/lib.rs:21 L3/deny",
+            // `- … /` on one line: one finding per operator.
+            "crates/core/src/lib.rs:36 L1/deny",
+            "crates/core/src/lib.rs:36 L1/deny",
+            "crates/core/src/solver.rs:24 L3/deny",
+            "crates/sim/src/lib.rs:9 L3/warn",
+            "crates/sim/src/lib.rs:14 L1/deny",
+            "crates/sim/src/lib.rs:14 L4/deny",
+            "crates/sim/src/report.rs:43 L5/deny",
+            "crates/sim/src/report.rs:44 L5/deny",
+            "crates/sim/src/report.rs:70 L5/deny",
+            "crates/sim/src/report.rs:71 L5/deny",
+        ],
+        "{l:?}"
+    );
+    // Quiet: the indexing that the allowlist covers.
+    assert!(!l.iter().any(|m| m.contains("grid.rs")), "{l:?}");
+}
+
+#[test]
 fn a4_interval_findings_carry_witness_intervals() {
     let a = analyze();
     let a4 = of_rule(&a, "A4");

@@ -48,13 +48,13 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        // lint: relaxed-ok: independent monotonic tally; no ordering with other memory
+        // analyze: allow(L6): independent monotonic tally; no ordering with other memory
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        // lint: relaxed-ok: snapshot read of an independent counter; staleness is acceptable
+        // analyze: allow(L6): snapshot read of an independent counter; staleness is acceptable
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -80,41 +80,41 @@ impl Gauge {
     /// Sets the value.
     #[inline]
     pub fn set(&self, v: f64) {
-        // lint: relaxed-ok: last-writer-wins gauge; no cross-variable ordering needed
+        // analyze: allow(L6): last-writer-wins gauge; no cross-variable ordering needed
         self.bits.store(v.to_bits(), Ordering::Relaxed);
-        // lint: relaxed-ok: monotone write tally; shard export tolerates a stale pairing
+        // analyze: allow(L6): monotone write tally; shard export tolerates a stale pairing
         self.seq.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Adds `delta` (may be negative).
     pub fn add(&self, delta: f64) {
-        // lint: relaxed-ok: CAS loop re-reads on failure; the single cell is the only shared state
+        // analyze: allow(L6): CAS loop re-reads on failure; the single cell is the only shared state
         let mut cur = self.bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + delta).to_bits();
             match self
                 .bits
-                // lint: relaxed-ok: success/failure both re-validate the same cell; no other memory is published
+                // analyze: allow(L6): success/failure both re-validate the same cell; no other memory is published
                 .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
             {
                 Ok(_) => break,
                 Err(actual) => cur = actual,
             }
         }
-        // lint: relaxed-ok: monotone write tally; shard export tolerates a stale pairing
+        // analyze: allow(L6): monotone write tally; shard export tolerates a stale pairing
         self.seq.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Current value.
     pub fn get(&self) -> f64 {
-        // lint: relaxed-ok: snapshot read; staleness is acceptable for a gauge
+        // analyze: allow(L6): snapshot read; staleness is acceptable for a gauge
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 
     /// Number of completed writes so far (the last-writer-wins stamp
     /// exported in shards).
     pub fn write_seq(&self) -> u64 {
-        // lint: relaxed-ok: snapshot read of a monotone tally
+        // analyze: allow(L6): snapshot read of a monotone tally
         self.seq.load(Ordering::Relaxed)
     }
 }
@@ -208,40 +208,40 @@ impl Histogram {
     pub fn record(&self, v: u64) {
         let c = &self.core;
         if let Some(slot) = c.counts.get(bucket_index(v)) {
-            // lint: relaxed-ok: per-field tallies; snapshot() tolerates torn cross-field views (count/sum/min/max may momentarily disagree)
+            // analyze: allow(L6): per-field tallies; snapshot() tolerates torn cross-field views (count/sum/min/max may momentarily disagree)
             slot.fetch_add(1, Ordering::Relaxed);
         }
-        // lint: relaxed-ok: see above — aggregate consistency is not promised mid-flight
+        // analyze: allow(L6): see above — aggregate consistency is not promised mid-flight
         c.count.fetch_add(1, Ordering::Relaxed);
-        // lint: relaxed-ok: see above
+        // analyze: allow(L6): see above
         c.sum.fetch_add(v, Ordering::Relaxed);
-        // lint: relaxed-ok: fetch_min is idempotent and order-free
+        // analyze: allow(L6): fetch_min is idempotent and order-free
         c.min.fetch_min(v, Ordering::Relaxed);
-        // lint: relaxed-ok: fetch_max is idempotent and order-free
+        // analyze: allow(L6): fetch_max is idempotent and order-free
         c.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        // lint: relaxed-ok: snapshot read
+        // analyze: allow(L6): snapshot read
         self.core.count.load(Ordering::Relaxed)
     }
 
     /// Sum of observations.
     pub fn sum(&self) -> u64 {
-        // lint: relaxed-ok: snapshot read
+        // analyze: allow(L6): snapshot read
         self.core.sum.load(Ordering::Relaxed)
     }
 
     /// Smallest observation (`None` when empty).
     pub fn min(&self) -> Option<u64> {
-        // lint: relaxed-ok: snapshot read; emptiness re-checked via count
+        // analyze: allow(L6): snapshot read; emptiness re-checked via count
         (self.count() > 0).then(|| self.core.min.load(Ordering::Relaxed))
     }
 
     /// Largest observation (`None` when empty).
     pub fn max(&self) -> Option<u64> {
-        // lint: relaxed-ok: snapshot read; emptiness re-checked via count
+        // analyze: allow(L6): snapshot read; emptiness re-checked via count
         (self.count() > 0).then(|| self.core.max.load(Ordering::Relaxed))
     }
 
@@ -261,7 +261,7 @@ impl Histogram {
         let rank = ((q * total as f64).ceil().clamp(0.0, u64::MAX as f64) as u64).clamp(1, total);
         let mut seen = 0u64;
         for (i, slot) in self.core.counts.iter().enumerate() {
-            // lint: relaxed-ok: quantiles are approximate by design (±3.1%); racing records only shift the estimate
+            // analyze: allow(L6): quantiles are approximate by design (±3.1%); racing records only shift the estimate
             seen += slot.load(Ordering::Relaxed);
             if seen >= rank {
                 let lo = bucket_lower(i).max(self.min().unwrap_or(0));
@@ -281,7 +281,7 @@ impl Histogram {
             .iter()
             .enumerate()
             .filter_map(|(i, slot)| {
-                // lint: relaxed-ok: snapshot read; digests are point-in-time exports
+                // analyze: allow(L6): snapshot read; digests are point-in-time exports
                 let n = slot.load(Ordering::Relaxed);
                 (n > 0).then(|| crate::shard::BucketCount {
                     // BUCKETS = 1920, far below u32::MAX; total fallback
@@ -347,7 +347,7 @@ impl Series {
     pub fn record(&self, ts_ns: u64, value: u64) {
         let mut inner = self.lock();
         let width = inner.bucket_width_ns.max(1);
-        // lint: allow(L1): bucket flooring on a u64 ns timestamp; obs sits below rto-core, so `Duration` is unavailable
+        // analyze: allow(L1): bucket flooring on a u64 ns timestamp; obs sits below rto-core, so `Duration` is unavailable
         let start_ns = ts_ns - ts_ns % width;
         // The window is small (64 buckets); a linear scan beats keeping
         // an index structure.

@@ -16,10 +16,7 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo test --workspace"
 cargo test --workspace --offline -q
 
-echo "==> rto-lint --workspace (domain invariants L1-L6, deny on findings)"
-cargo run -p rto-lint --offline -q -- --workspace
-
-echo "==> rto-analyze (A1 reachability, A2 units, A3 waivers, A4 intervals, A5 concurrency, A6 determinism, A7 hot-path allocs, A8 termination)"
+echo "==> rto-analyze (L1-L6 domain rules, A1 reachability, A2 units, A3 waivers, A4 intervals, A5 concurrency, A6 determinism, A7 hot-path allocs, A8 termination)"
 # The warning-budget ratchets live in analyze.budget.toml and are
 # enforced by the rto-analyze runs below; an absent file or key would
 # silently disable a ratchet, so their presence is part of the gate.
