@@ -276,6 +276,33 @@ mod tests {
         assert_eq!(tasks[0].benefit().num_levels(), 3);
     }
 
+    /// `rto-cli demo` output, byte for byte: covers the untagged
+    /// `Pair` form and kebab-case unit variants.
+    #[test]
+    fn sample_pretty_matches_golden_bytes() {
+        let golden = include_str!("../tests/golden_system_config_sample.json");
+        let json = serde_json::to_string_pretty(&SystemConfig::sample()).unwrap();
+        assert_eq!(json, golden);
+    }
+
+    /// The untagged struct variant (`Full`) with `None` and `Some`
+    /// overrides, and a multi-word kebab-case variant.
+    #[test]
+    fn full_form_pretty_matches_golden_bytes() {
+        let golden = include_str!("../tests/golden_system_config_full.json");
+        let mut cfg = SystemConfig::sample();
+        cfg.solver = SolverConfig::HeuOe;
+        cfg.tasks[0].benefit[1] = BenefitPointConfig::Full {
+            response_time_ms: 120.0,
+            value: 30.0,
+            setup_wcet_ms: Some(6.5),
+            compensation_wcet_ms: None,
+        };
+        let json = serde_json::to_string_pretty(&cfg).unwrap();
+        assert_eq!(json, golden);
+        assert_eq!(SystemConfig::from_json(&json).unwrap(), cfg);
+    }
+
     #[test]
     fn minimal_json_with_defaults() {
         let json = r#"{

@@ -142,11 +142,14 @@ impl SimReport {
 
     /// Serializes the full report (stats, jobs, trace, sub-job logs) as
     /// JSON to `writer` — the export format for external analysis
-    /// tooling.
+    /// tooling. The JSON is streamed in chunks as it is produced; no
+    /// whole-document copy is held in memory.
     ///
     /// # Errors
     ///
-    /// Propagates serialization and I/O errors.
+    /// Propagates the first I/O error from `writer`. Chunks written
+    /// before the error stay written, so `writer` may then hold a
+    /// truncated document.
     pub fn write_json<W: std::io::Write>(
         &self,
         writer: W,

@@ -16,6 +16,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo test --workspace"
 cargo test --workspace --offline -q
 
+echo "==> vendored shim tests (not workspace members)"
+for crate in serde serde_derive serde_json; do cargo test --offline -q --manifest-path "vendor/$crate/Cargo.toml"; done
+
 echo "==> rto-analyze (L1-L6 domain rules, A1 reachability, A2 units, A3 waivers, A4 intervals, A5 concurrency, A6 determinism, A7 hot-path allocs, A8 termination)"
 # The warning-budget ratchets live in analyze.budget.toml and are
 # enforced by the rto-analyze runs below; an absent file or key would
