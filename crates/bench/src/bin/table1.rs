@@ -1,7 +1,7 @@
 //! Regenerates a Table-1-style benefit table from first principles:
-//! PSNR per scaling level (synthetic frames + the vision kernels'
-//! imaging pipeline) and measured response times against the simulated
-//! GPU server.
+//! PSNR per scaling level (synthetic frames degraded to each level's
+//! scale factor) and measured response times against the simulated GPU
+//! server.
 //!
 //! Usage: `cargo run --release -p rto-bench --bin table1 [seed] [--json]`
 

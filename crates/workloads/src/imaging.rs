@@ -92,6 +92,12 @@ impl Image {
 
     /// Bilinearly resizes to `(new_width, new_height)`.
     ///
+    /// Separable: the column taps are computed once, each source row is
+    /// blended horizontally at most once into one of two scratch rows,
+    /// and each target pixel is one vertical blend of those rows. Every
+    /// product and sum is the one a per-pixel bilinear sample computes,
+    /// in the same order, so the output is bit-identical to it.
+    ///
     /// # Panics
     ///
     /// Panics if either target dimension is zero.
@@ -100,27 +106,43 @@ impl Image {
             new_width > 0 && new_height > 0,
             "target dimensions must be positive"
         );
+        let cols: Vec<Tap> = axis_taps(self.width, new_width).collect();
         let mut out = Image::new(new_width, new_height);
-        let sx = self.width as f64 / new_width as f64;
-        let sy = self.height as f64 / new_height as f64;
-        for y in 0..new_height {
-            for x in 0..new_width {
-                // Sample at the source-space center of the target pixel.
-                let fx = ((x as f64 + 0.5) * sx - 0.5).clamp(0.0, (self.width - 1) as f64);
-                let fy = ((y as f64 + 0.5) * sy - 0.5).clamp(0.0, (self.height - 1) as f64);
-                let x0 = fx.floor().clamp(0.0, u64::MAX as f64) as usize;
-                let y0 = fy.floor().clamp(0.0, u64::MAX as f64) as usize;
-                let x1 = x0.saturating_add(1).min(self.width - 1);
-                let y1 = y0.saturating_add(1).min(self.height - 1);
-                let dx = fx - x0 as f64;
-                let dy = fy - y0 as f64;
-                let top = self.get(x0, y0) as f64 * (1.0 - dx) + self.get(x1, y0) as f64 * dx;
-                let bottom = self.get(x0, y1) as f64 * (1.0 - dx) + self.get(x1, y1) as f64 * dx;
-                let v = top * (1.0 - dy) + bottom * dy;
-                out.set(x, y, v.round().clamp(0.0, 255.0) as u8);
+        // Source rows y0 and y1 of the current target row, blended
+        // horizontally; `usize::MAX` marks a row not yet filled.
+        let (mut top, mut bottom) = (vec![0.0; new_width], vec![0.0; new_width]);
+        let (mut top_y, mut bottom_y) = (usize::MAX, usize::MAX);
+        let rows = axis_taps(self.height, new_height);
+        for ((y0, y1, dy), out_row) in rows.zip(out.pixels.chunks_exact_mut(new_width)) {
+            if top_y != y0 {
+                if bottom_y == y0 {
+                    std::mem::swap(&mut top, &mut bottom);
+                    bottom_y = top_y;
+                } else {
+                    self.blend_row(y0, &cols, &mut top);
+                }
+                top_y = y0;
+            }
+            if bottom_y != y1 {
+                self.blend_row(y1, &cols, &mut bottom);
+                bottom_y = y1;
+            }
+            for ((o, &t), &b) in out_row.iter_mut().zip(&top).zip(&bottom) {
+                *o = round_to_u8(t * (1.0 - dy) + b * dy);
             }
         }
         out
+    }
+
+    /// Blends source row `y` horizontally at the column taps into `dst`.
+    fn blend_row(&self, y: usize, cols: &[Tap], dst: &mut [f64]) {
+        let start = y * self.width;
+        // analyze: allow(L3): axis_taps yields y < height, so the row lies within pixels
+        let src = &self.pixels[start..start + self.width];
+        for (h, &(x0, x1, dx)) in dst.iter_mut().zip(cols) {
+            // analyze: allow(L3): axis_taps yields x0 <= x1 < width
+            *h = src[x0] as f64 * (1.0 - dx) + src[x1] as f64 * dx;
+        }
     }
 
     /// Scales by a factor in `(0, 1]` and back up, returning the
@@ -153,12 +175,14 @@ impl Image {
     /// synthesize stereo pairs and motion frames); vacated pixels repeat
     /// the edge column.
     pub fn shift_right(&self, dx: usize) -> Image {
+        let d = dx.min(self.width);
         let mut out = Image::new(self.width, self.height);
-        for y in 0..self.height {
-            for x in 0..self.width {
-                let src_x = x.saturating_sub(dx);
-                out.set(x, y, self.get(src_x, y));
-            }
+        let rows = out.pixels.chunks_exact_mut(self.width);
+        for (dst, src) in rows.zip(self.pixels.chunks_exact(self.width)) {
+            let (edge, body) = dst.split_at_mut(d);
+            let (kept, _) = src.split_at(self.width - d);
+            body.copy_from_slice(kept);
+            edge.fill(src.first().copied().unwrap_or_default());
         }
         out
     }
@@ -167,15 +191,45 @@ impl Image {
     /// camera of a stereo pair sees for objects at disparity `dx`;
     /// vacated pixels repeat the edge column.
     pub fn shift_left(&self, dx: usize) -> Image {
+        let d = dx.min(self.width);
         let mut out = Image::new(self.width, self.height);
-        for y in 0..self.height {
-            for x in 0..self.width {
-                let src_x = (x + dx).min(self.width - 1);
-                out.set(x, y, self.get(src_x, y));
-            }
+        let rows = out.pixels.chunks_exact_mut(self.width);
+        for (dst, src) in rows.zip(self.pixels.chunks_exact(self.width)) {
+            let (body, edge) = dst.split_at_mut(self.width - d);
+            let (_, kept) = src.split_at(d);
+            body.copy_from_slice(kept);
+            edge.fill(src.last().copied().unwrap_or_default());
         }
         out
     }
+}
+
+/// One bilinear tap along an axis: the two source neighbours and the
+/// weight of the second.
+type Tap = (usize, usize, f64);
+
+/// The taps of `dst_len` target pixels sampling `src_len` source pixels
+/// at the source-space centre of each target pixel.
+fn axis_taps(src_len: usize, dst_len: usize) -> impl Iterator<Item = Tap> {
+    let scale = src_len as f64 / dst_len as f64;
+    let last = src_len - 1;
+    (0..dst_len).map(move |i| {
+        let f = ((i as f64 + 0.5) * scale - 0.5).clamp(0.0, last as f64);
+        let i0 = f.floor().clamp(0.0, u64::MAX as f64) as usize;
+        (i0, i0.saturating_add(1).min(last), f - i0 as f64)
+    })
+}
+
+/// `v.round().clamp(0.0, 255.0) as u8`, bit for bit, without the libm
+/// `round` call baseline x86-64 makes. On `[0, 255]` truncation is the
+/// floor and `v - floor` is exact, so adding one at a fraction `>= 0.5`
+/// rounds half away from zero; clamping first changes no result, and a
+/// NaN maps to 0 either way.
+#[inline]
+fn round_to_u8(v: f64) -> u8 {
+    let v = v.clamp(0.0, 255.0);
+    let w = v as u8;
+    w + u8::from(v - f64::from(w) >= 0.5)
 }
 
 /// Mean squared error between two same-sized images.
@@ -189,16 +243,15 @@ pub fn mse(a: &Image, b: &Image) -> f64 {
         (b.width, b.height),
         "MSE of differently-sized images"
     );
-    let sum: f64 = a
+    // Exact in integers; the f64 sum of the same squares is exact too
+    // while it stays below 2^53, so the quotient is the same.
+    let sum: u64 = a
         .pixels
         .iter()
         .zip(&b.pixels)
-        .map(|(&p, &q)| {
-            let d = p as f64 - q as f64;
-            d * d
-        })
+        .map(|(&p, &q)| u64::from(p.abs_diff(q)).pow(2))
         .sum();
-    sum / a.pixels.len() as f64
+    sum as f64 / a.pixels.len() as f64
 }
 
 /// Peak signal-to-noise ratio between two same-sized 8-bit images, in dB.
@@ -225,13 +278,14 @@ pub fn psnr(reference: &Image, candidate: &Image) -> f64 {
 pub fn synthetic_scene(width: usize, height: usize, rng: &mut Rng) -> Image {
     let mut img = Image::new(width, height);
     // Gradient background.
-    for y in 0..height {
-        for x in 0..width {
+    for (y, row) in img.pixels.chunks_exact_mut(width).enumerate() {
+        for (x, p) in row.iter_mut().enumerate() {
             let g = 40.0 + 80.0 * (x as f64 / width as f64) + 40.0 * (y as f64 / height as f64);
-            img.set(x, y, g.clamp(0.0, 255.0) as u8);
+            *p = g.clamp(0.0, 255.0) as u8;
         }
     }
-    // Blobs: foreground structure that scaling degrades.
+    // Blobs: foreground structure that scaling degrades. Each blob is
+    // drawn over its bounding box only; the `d2 < 1` test still decides.
     let blobs = 6 + rng.usize_below(6);
     for _ in 0..blobs {
         let cx = rng.usize_below(width) as f64;
@@ -239,15 +293,18 @@ pub fn synthetic_scene(width: usize, height: usize, rng: &mut Rng) -> Image {
         let rx = 4.0 + rng.f64() * (width as f64 / 8.0);
         let ry = 4.0 + rng.f64() * (height as f64 / 8.0);
         let brightness = 120.0 + rng.f64() * 135.0;
-        for y in 0..height {
-            for x in 0..width {
+        let (x_lo, x_hi) = blob_span(cx, rx, width);
+        let (y_lo, y_hi) = blob_span(cy, ry, height);
+        let rows = img.pixels.chunks_exact_mut(width).enumerate();
+        for (y, row) in rows.take(y_hi).skip(y_lo) {
+            for (x, p) in row.iter_mut().enumerate().take(x_hi).skip(x_lo) {
                 let nx = (x as f64 - cx) / rx;
                 let ny = (y as f64 - cy) / ry;
                 let d2 = nx * nx + ny * ny;
                 if d2 < 1.0 {
-                    let v = img.get(x, y) as f64;
+                    let v = *p as f64;
                     let blended = v + (brightness - v) * (1.0 - d2);
-                    img.set(x, y, blended.clamp(0.0, 255.0) as u8);
+                    *p = blended.clamp(0.0, 255.0) as u8;
                 }
             }
         }
@@ -258,6 +315,17 @@ pub fn synthetic_scene(width: usize, height: usize, rng: &mut Rng) -> Image {
         *p = (*p as f64 + noise).clamp(0.0, 255.0) as u8;
     }
     img
+}
+
+/// The pixel range `lo..hi` along one axis that covers a blob centred
+/// at `c` with radius `r`. A pixel `i` with `|i - c| >= r` has
+/// `|(i - c) / r| >= 1` after rounding, so `d2 >= 1`; every pixel the
+/// blob touches thus has `c - r < i < c + r`, which `lo..hi` covers
+/// with room for rounding in `c ± r`.
+fn blob_span(c: f64, r: f64, len: usize) -> (usize, usize) {
+    let lo = (c - r).floor().clamp(0.0, u64::MAX as f64) as usize;
+    let hi = ((c + r).ceil() + 1.0).clamp(0.0, u64::MAX as f64) as usize;
+    (lo, hi.min(len))
 }
 
 #[cfg(test)]
@@ -350,6 +418,19 @@ mod tests {
         assert_eq!(shifted.get(2, 0), 100);
         assert_eq!(shifted.get(0, 0), 100); // edge repeat
         assert_eq!(shifted.get(4, 0), 0);
+    }
+
+    #[test]
+    fn shift_left_moves_content() {
+        let img = Image::from_pixels(5, 2, vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        let shifted = img.shift_left(2);
+        assert_eq!(shifted.pixels(), &[3, 4, 5, 5, 5, 8, 9, 10, 10, 10]); // edge repeat
+        assert_eq!(img.shift_left(0), img);
+        assert_eq!(
+            img.shift_left(9).pixels(),
+            &[5, 5, 5, 5, 5, 10, 10, 10, 10, 10]
+        );
+        assert_eq!(img.shift_right(9).pixels(), &[1, 1, 1, 1, 1, 6, 6, 6, 6, 6]);
     }
 
     #[test]
