@@ -56,7 +56,6 @@ const DENY_PATHS: &[&str] = &[
     "crates/core/src/qpa.rs",
     "crates/core/src/odm.rs",
     "crates/mckp/src/dp.rs",
-    "crates/mckp/src/branch_bound.rs",
     "crates/sim/src/event.rs",
     "crates/sim/src/system.rs",
     "crates/stats/src/",
@@ -2740,11 +2739,11 @@ mod tests {
     #[test]
     fn deny_paths_escalate_severity_and_waivers_silence() {
         let src = "pub fn f(x: u64) -> u32 { x as u32 }\n";
-        let d = diags("crates/mckp/src/branch_bound.rs", src);
+        let d = diags("crates/mckp/src/dp.rs", src);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].severity, "deny");
         let waived = "pub fn f(x: u64) -> u32 {\n    // analyze: allow(A4): saturation documented\n    x as u32\n}\n";
-        assert!(diags("crates/mckp/src/branch_bound.rs", waived).is_empty());
+        assert!(diags("crates/mckp/src/dp.rs", waived).is_empty());
     }
 
     #[test]

@@ -41,13 +41,12 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Workspace-relative files whose A8 loop/recursion findings are
 /// `deny`: the audit scope from the issue — `sim::{event,system}`,
-/// `mckp::{dp,branch_bound}`, `core::{odm,qpa,analysis}`, and
+/// `mckp::dp`, `core::{odm,qpa,analysis}`, and
 /// `exp::pool` (the QPA backward scan lives in `core`, not `mckp`).
 const A8_DENY_FILES: &[&str] = &[
     "crates/sim/src/event.rs",
     "crates/sim/src/system.rs",
     "crates/mckp/src/dp.rs",
-    "crates/mckp/src/branch_bound.rs",
     "crates/core/src/odm.rs",
     "crates/core/src/qpa.rs",
     "crates/core/src/analysis.rs",

@@ -178,7 +178,7 @@ fn a4_interval_findings_carry_witness_intervals() {
     for line in [13, 14, 38, 42, 49] {
         assert!(
             !a4.iter()
-                .any(|m| m.starts_with(&format!("crates/mckp/src/branch_bound.rs:{line} "))),
+                .any(|m| m.starts_with(&format!("crates/mckp/src/dp.rs:{line} "))),
             "line {line} must be quiet: {a4:?}"
         );
     }

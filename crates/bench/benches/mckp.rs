@@ -1,10 +1,10 @@
-//! MCKP solver scaling: exact DP (several grid resolutions), HEU-OE,
-//! branch-and-bound, and the LP relaxation, over instances shaped like
-//! the paper's (§6.2: ~30 classes × ~11 items) and larger.
+//! MCKP solver scaling: the exact frontier DP, HEU-OE and the LP
+//! relaxation, over instances shaped like the paper's (§6.2: ~30
+//! classes × ~11 items) and larger.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rto_mckp::lp::lp_relaxation;
-use rto_mckp::{BranchBoundSolver, DpSolver, HeuOeSolver, Item, MckpInstance, Solver};
+use rto_mckp::{DpSolver, HeuOeSolver, Item, MckpInstance, Solver};
 use rto_stats::Rng;
 
 /// A random instance: `classes` classes of `items` items each, weights
@@ -40,7 +40,7 @@ fn bench_solvers(c: &mut Criterion) {
     for &(classes, items) in &[(10usize, 5usize), (30, 11), (100, 11)] {
         let inst = instance(classes, items, 42);
         let label = format!("{classes}x{items}");
-        group.bench_with_input(BenchmarkId::new("dp-10k", &label), &inst, |b, inst| {
+        group.bench_with_input(BenchmarkId::new("dp", &label), &inst, |b, inst| {
             let solver = DpSolver::default();
             b.iter(|| solver.solve(std::hint::black_box(inst)).unwrap());
         });
@@ -51,31 +51,9 @@ fn bench_solvers(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("lp-relax", &label), &inst, |b, inst| {
             b.iter(|| lp_relaxation(std::hint::black_box(inst)).unwrap());
         });
-        if classes <= 30 {
-            group.bench_with_input(
-                BenchmarkId::new("branch-bound", &label),
-                &inst,
-                |b, inst| {
-                    let solver = BranchBoundSolver::new();
-                    b.iter(|| solver.solve(std::hint::black_box(inst)).unwrap());
-                },
-            );
-        }
     }
     group.finish();
 }
 
-fn bench_dp_resolution(c: &mut Criterion) {
-    let mut group = c.benchmark_group("mckp-dp-resolution");
-    let inst = instance(30, 11, 7);
-    for &res in &[1_000usize, 10_000, 100_000] {
-        group.bench_with_input(BenchmarkId::from_parameter(res), &res, |b, &res| {
-            let solver = DpSolver::with_resolution(res);
-            b.iter(|| solver.solve(std::hint::black_box(&inst)).unwrap());
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_solvers, bench_dp_resolution);
+criterion_group!(benches, bench_solvers);
 criterion_main!(benches);

@@ -9,7 +9,7 @@
 //!    equal-slack and all-slack-to-setup, measured as exact-test
 //!    acceptance over random offloaded systems.
 //! 3. **Solver optimality** — HEU-OE (with and without the exchange
-//!    pass) and coarse-grid DP, relative to the fine-grid DP optimum.
+//!    pass), relative to the exact DP optimum.
 
 use rto_core::analysis::{
     density_test, processor_demand_test, suspension_oblivious_test, OffloadedTask,
@@ -219,46 +219,33 @@ pub fn split_policy_sweep_with(
 /// Solver-quality summary over random MCKP instances.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SolverGapRow {
-    /// Mean profit of HEU-OE relative to the fine-grid DP.
+    /// Mean profit of HEU-OE relative to the exact DP.
     pub heu_oe: f64,
-    /// Mean profit of greedy-only HEU relative to the fine-grid DP.
+    /// Mean profit of greedy-only HEU relative to the exact DP.
     pub greedy_only: f64,
-    /// Mean profit of a coarse (1 000-cell) DP relative to the fine DP.
-    pub dp_coarse: f64,
     /// Number of instances evaluated.
     pub instances: usize,
 }
 
-/// One solver-gap trial: the three optimality ratios of one instance.
+/// One solver-gap trial: the two optimality ratios of one instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct GapTrial {
     heu: f64,
     greedy: f64,
-    coarse: f64,
 }
 
 impl TrialData for GapTrial {
     fn encode(&self) -> String {
-        format!(
-            "{} {} {}",
-            f64_hex(self.heu),
-            f64_hex(self.greedy),
-            f64_hex(self.coarse)
-        )
+        format!("{} {}", f64_hex(self.heu), f64_hex(self.greedy))
     }
     fn decode(s: &str) -> Option<Self> {
         let mut parts = s.split(' ');
         let heu = f64_from_hex(parts.next()?)?;
         let greedy = f64_from_hex(parts.next()?)?;
-        let coarse = f64_from_hex(parts.next()?)?;
         if parts.next().is_some() {
             return None;
         }
-        Some(GapTrial {
-            heu,
-            greedy,
-            coarse,
-        })
+        Some(GapTrial { heu, greedy })
     }
 }
 
@@ -275,14 +262,13 @@ pub fn solver_gaps(seed: u64, instances: usize) -> SolverGapRow {
 pub fn solver_gaps_with(seed: u64, instances: usize, opts: &ExpOptions) -> SolverGapRow {
     let spec = MatrixSpec {
         name: "ablation-solver-gaps".into(),
-        fingerprint: "solver-gaps-v1\u{1f}classes=20x8".into(),
+        fingerprint: "solver-gaps-v2\u{1f}classes=20x8".into(),
         base_seed: seed,
         point_keys: vec!["gaps".into()],
         trials_per_point: instances,
     };
     let matrix = run_matrix(&spec, opts, |ctx| {
-        let fine = DpSolver::with_resolution(100_000);
-        let coarse = DpSolver::with_resolution(1_000);
+        let exact = DpSolver::default();
         let heu = HeuOeSolver::new();
         let greedy = HeuOeSolver::without_exchange();
         let mut rng = Rng::seed_from(ctx.seed);
@@ -301,7 +287,7 @@ pub fn solver_gaps_with(seed: u64, instances: usize, opts: &ExpOptions) -> Solve
                 })
                 .collect();
             let inst = MckpInstance::new(classes, 1.0).expect("valid");
-            let Ok(best) = fine.solve(&inst) else {
+            let Ok(best) = exact.solve(&inst) else {
                 continue;
             };
             let best_profit = inst.selection_profit(&best).unwrap_or(0.0);
@@ -313,7 +299,6 @@ pub fn solver_gaps_with(seed: u64, instances: usize, opts: &ExpOptions) -> Solve
             return GapTrial {
                 heu: ratio(&heu.solve(&inst).expect("feasible")),
                 greedy: ratio(&greedy.solve(&inst).expect("feasible")),
-                coarse: ratio(&coarse.solve(&inst).expect("feasible")),
             };
         }
     });
@@ -329,7 +314,6 @@ pub fn solver_gaps_with(seed: u64, instances: usize, opts: &ExpOptions) -> Solve
     SolverGapRow {
         heu_oe: mean(|t| t.heu),
         greedy_only: mean(|t| t.greedy),
-        dp_coarse: mean(|t| t.coarse),
         instances: counted,
     }
 }
@@ -383,7 +367,6 @@ mod tests {
         assert_eq!(gaps.instances, 20);
         assert!(gaps.heu_oe > 0.9, "HEU-OE ratio {}", gaps.heu_oe);
         assert!(gaps.heu_oe >= gaps.greedy_only - 1e-9);
-        assert!(gaps.dp_coarse > 0.95, "coarse DP ratio {}", gaps.dp_coarse);
         assert!(gaps.heu_oe <= 1.0 + 1e-9);
     }
 }

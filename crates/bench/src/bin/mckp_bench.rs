@@ -1,42 +1,44 @@
-//! MCKP DP throughput benchmark: `DpSolver` against a bench-local copy
-//! of the original cell-outer DP (`RefDp`), measured in the same run.
+//! MCKP DP throughput benchmark: `DpSolver` (the Pareto-frontier DP on
+//! the real weights) against a bench-local copy of the original
+//! cell-outer grid DP (`RefDp`), measured in the same run.
 //!
-//! The original loop rescaled every item's weight onto the grid once
-//! per (cell, item) pair and kept one `usize` choice row per class; the
-//! production solver scales each dominance-pruned item once, sweeps
-//! items outer over contiguous row slices, and keeps one `u16` choice
-//! row per class. `RefDp` reproduces the original loop verbatim so the
-//! speedup gate keeps measuring the same competitor.
+//! The original loop rounded every weight up onto a grid of
+//! `resolution` cells, rescaled it once per (cell, item) pair and kept
+//! one `usize` choice row per class. `RefDp` reproduces it verbatim, so
+//! the speedup gate keeps measuring the same competitor.
 //!
 //! Two shapes, both deterministic:
 //!
-//! * **§6.2** — 30 classes × 11 items at the default 10⁴-cell grid (the
-//!   Figure 3 decision);
-//! * **solver gap** — 20 classes × 8 items at 10⁵ cells (the ablation's
-//!   fine-grid DP, whose original choice table misses the cache).
+//! * **§6.2** — 30 classes × 11 items at the default resolution of 10⁴
+//!   (the Figure 3 decision);
+//! * **solver gap** — 20 classes × 8 items at 10⁵ (the ablation's
+//!   fine DP).
 //!
-//! Every instance is solved by both implementations and their
-//! selections must be identical. Each shape is timed as the best of
-//! three interleaved trials per implementation (a trial solves every
-//! instance of the shape once), re-measured for up to two more rounds
-//! while under the gate, and reported as ns per grid cell
-//! (classes × (resolution + 1)).
+//! Every instance is checked before timing: the `DpSolver` selection
+//! must be feasible, as profitable as `RefDp`'s at least, reached
+//! without the grid fallback, and on the brute-force-sized prefix of
+//! the instance (its first classes, at most 10⁶ selections) its profit
+//! must equal `BruteForceSolver`'s bit for bit. Each shape is timed as
+//! the best of three interleaved trials per implementation (a trial
+//! solves every instance of the shape once), re-measured for up to two
+//! more rounds while under the gate, and reported in µs per solve,
+//! with the largest frontier built.
 //!
-//! Writes a `BENCH_mckp.json` summary and exits nonzero when a
-//! selection differs or when either shape's speedup is below 5x. The
-//! absolute ns/cell figures are trend data only.
+//! Writes a `BENCH_mckp.json` summary and exits nonzero when a check
+//! fails or when either shape's speedup is below 10x. The absolute
+//! µs/solve figures are trend data only.
 //!
 //! Usage: `cargo run --release -p rto-bench --bin mckp_bench [--out PATH]`
 
 use rto_core::time::Duration;
 use rto_mckp::lp::dominance_filter;
-use rto_mckp::{DpSolver, Item, MckpInstance, Selection, SolveError, Solver};
+use rto_mckp::{BruteForceSolver, DpSolver, Item, MckpInstance, Selection, SolveError, Solver};
 use rto_obs::Stopwatch;
 use rto_stats::Rng;
 use std::hint::black_box;
 
 /// Same-run speedup the production DP must reach on every shape.
-const MIN_SPEEDUP: f64 = 5.0;
+const MIN_SPEEDUP: f64 = 10.0;
 /// Timed trials per implementation and round; the fastest is reported.
 const TRIALS: usize = 3;
 /// Measurement rounds for a shape still under the gate.
@@ -200,9 +202,76 @@ where
 
 /// Measured figures for one shape.
 struct ShapeResult {
-    dp_ns_per_cell: f64,
-    ref_ns_per_cell: f64,
+    dp_us_per_solve: f64,
+    ref_us_per_solve: f64,
     speedup: f64,
+    max_frontier: usize,
+}
+
+/// Most selections the brute-force cross-check enumerates.
+const BRUTE_COMBINATIONS: u128 = 1_000_000;
+
+/// The longest prefix of `inst`'s classes with at most
+/// `BRUTE_COMBINATIONS` selections, as an instance of its own with the
+/// prefix's share of the capacity, so the capacity still binds.
+fn brute_prefix(inst: &MckpInstance) -> Result<MckpInstance, SolveError> {
+    let mut combos = 1u128;
+    let classes: Vec<Vec<Item>> = inst
+        .classes()
+        .iter()
+        .take_while(|class| {
+            combos *= class.len() as u128;
+            combos <= BRUTE_COMBINATIONS
+        })
+        .cloned()
+        .collect();
+    let share = classes.len() as f64 / inst.num_classes() as f64;
+    MckpInstance::new(classes, inst.capacity() * share)
+}
+
+/// The correctness checks on one instance; returns the largest frontier.
+fn check(
+    label: &str,
+    i: usize,
+    inst: &MckpInstance,
+    dp: &DpSolver,
+    reference: &RefDp,
+) -> Result<usize, Box<dyn std::error::Error>> {
+    let fail = |what: String| format!("{label} instance {i}: {what}");
+    let (sel, stats) = dp.solve_with_stats(inst);
+    if stats.fell_back {
+        return Err(fail(format!("fell back to the grid ({stats:?})")).into());
+    }
+    let sel = sel.map_err(|e| fail(format!("DpSolver failed: {e}")))?;
+    if !inst.is_feasible(&sel) {
+        return Err(fail(format!("infeasible selection {sel:?}")).into());
+    }
+    let profit = inst.selection_profit(&sel)?;
+    let grid = reference
+        .solve(inst)
+        .map_err(|e| fail(format!("reference DP failed: {e}")))?;
+    let grid_profit = inst.selection_profit(&grid)?;
+    if profit < grid_profit {
+        return Err(fail(format!(
+            "profit {profit} below the reference DP's {grid_profit}"
+        ))
+        .into());
+    }
+    let prefix = brute_prefix(inst)?;
+    let exact = BruteForceSolver::with_max_combinations(BRUTE_COMBINATIONS).solve(&prefix);
+    let profits = |sel: Result<Selection, SolveError>| {
+        sel.and_then(|s| prefix.selection_profit(&s))
+            .map(f64::to_bits)
+    };
+    let (a, b) = (profits(dp.solve(&prefix)), profits(exact));
+    if a != b {
+        return Err(fail(format!(
+            "on its {}-class prefix DpSolver gives {a:?}, brute force {b:?} (profit bits)",
+            prefix.num_classes()
+        ))
+        .into());
+    }
+    Ok(stats.max_frontier)
 }
 
 fn run_shape(shape: &Shape) -> Result<ShapeResult, Box<dyn std::error::Error>> {
@@ -214,19 +283,12 @@ fn run_shape(shape: &Shape) -> Result<ShapeResult, Box<dyn std::error::Error>> {
     let reference = RefDp {
         resolution: shape.resolution,
     };
+    let mut max_frontier = 0;
     for (i, inst) in instances.iter().enumerate() {
-        let fast = dp.solve(inst);
-        let slow = reference.solve(inst);
-        if fast != slow {
-            return Err(format!(
-                "{} instance {i}: DpSolver returned {fast:?}, reference DP {slow:?}",
-                shape.label
-            )
-            .into());
-        }
+        max_frontier = max_frontier.max(check(shape.label, i, inst, &dp, &reference)?);
     }
 
-    let cells = (shape.instances * shape.classes * (shape.resolution + 1)) as f64;
+    let us_per_solve = |ns: f64| ns / 1e3 / shape.instances as f64;
     let mut dp_best = f64::INFINITY;
     let mut ref_best = f64::INFINITY;
     for _ in 0..ROUNDS {
@@ -239,9 +301,10 @@ fn run_shape(shape: &Shape) -> Result<ShapeResult, Box<dyn std::error::Error>> {
         }
     }
     Ok(ShapeResult {
-        dp_ns_per_cell: dp_best / cells,
-        ref_ns_per_cell: ref_best / cells,
+        dp_us_per_solve: us_per_solve(dp_best),
+        ref_us_per_solve: us_per_solve(ref_best),
         speedup: ref_best / dp_best.max(1e-9),
+        max_frontier,
     })
 }
 
@@ -261,18 +324,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for shape in &SHAPES {
         let r = run_shape(shape)?;
         eprintln!(
-            "mckp_bench: {:<10} dp {:>7.2} ns/cell  reference {:>7.2} ns/cell  speedup {:.1}x",
-            shape.label, r.dp_ns_per_cell, r.ref_ns_per_cell, r.speedup
+            "mckp_bench: {:<10} dp {:>9.1} us/solve  reference {:>9.1} us/solve  \
+             speedup {:.1}x  max frontier {} states (no fallback)",
+            shape.label, r.dp_us_per_solve, r.ref_us_per_solve, r.speedup, r.max_frontier
         );
         fields.push_str(&format!(
             concat!(
-                "\"dp_ns_per_cell_{l}\":{:.3},",
-                "\"ref_ns_per_cell_{l}\":{:.3},",
-                "\"speedup_{l}\":{:.2},"
+                "\"dp_us_per_solve_{l}\":{:.3},",
+                "\"ref_us_per_solve_{l}\":{:.3},",
+                "\"speedup_{l}\":{:.2},",
+                "\"max_frontier_{l}\":{},"
             ),
-            r.dp_ns_per_cell,
-            r.ref_ns_per_cell,
+            r.dp_us_per_solve,
+            r.ref_us_per_solve,
             r.speedup,
+            r.max_frontier,
             l = shape.label,
         ));
         if r.speedup < MIN_SPEEDUP {
@@ -280,7 +346,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let summary = format!("{{\"name\":\"mckp\",{fields}\"identical\":true}}");
+    let summary = format!("{{\"name\":\"mckp\",{fields}\"checked\":true}}");
     std::fs::write(out, format!("{summary}\n"))?;
     println!("{summary}");
     eprintln!("mckp_bench: wrote {out}");

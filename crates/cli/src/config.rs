@@ -9,7 +9,7 @@ use rto_core::benefit::{BenefitFunction, BenefitPoint};
 use rto_core::odm::OdmTask;
 use rto_core::task::Task;
 use rto_core::time::Duration;
-use rto_mckp::{BranchBoundSolver, DpSolver, HeuOeSolver, Solver};
+use rto_mckp::{DpSolver, HeuOeSolver, Solver};
 use rto_server::Scenario;
 use serde::{Deserialize, Serialize};
 
@@ -70,13 +70,11 @@ pub struct TaskConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 #[serde(rename_all = "kebab-case")]
 pub enum SolverConfig {
-    /// Exact pseudo-polynomial dynamic programming (the default).
+    /// Exact Pareto-frontier dynamic programming (the default).
     #[default]
     Dp,
     /// The HEU-OE greedy/exchange heuristic.
     HeuOe,
-    /// Exact branch-and-bound.
-    BranchBound,
 }
 
 impl SolverConfig {
@@ -85,7 +83,6 @@ impl SolverConfig {
         match self {
             SolverConfig::Dp => Box::new(DpSolver::default()),
             SolverConfig::HeuOe => Box::new(HeuOeSolver::new()),
-            SolverConfig::BranchBound => Box::new(BranchBoundSolver::new()),
         }
     }
 }

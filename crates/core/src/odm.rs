@@ -150,7 +150,9 @@ impl OffloadingPlan {
         self.decisions.iter().find(|d| d.task_id == id)
     }
 
-    /// The Theorem-3 left-hand side of this plan (≤ 1 by construction).
+    /// The Theorem-3 left-hand side of this plan: the chosen densities
+    /// summed in task order, which is the weight the MCKP solver held to
+    /// the capacity of 1.
     pub fn total_density(&self) -> f64 {
         self.total_density
     }
@@ -351,6 +353,11 @@ impl OffloadingDecisionManager {
         };
 
         let mut decisions = Vec::with_capacity(self.tasks.len());
+        // Both totals fold in task order from 0.0, as
+        // `MckpInstance::selection_weight`/`selection_profit` do, so the
+        // plan's density is bit for bit the weight the solver checked
+        // against the capacity.
+        let mut total_density = 0.0;
         let mut total_benefit = 0.0;
         for (i, t) in self.tasks.iter().enumerate() {
             let level = selection.choices().get(i).copied().ok_or_else(|| {
@@ -394,6 +401,7 @@ impl OffloadingDecisionManager {
                     guaranteed,
                 }
             };
+            total_density += item.weight;
             total_benefit += item.profit;
             decisions.push(TaskDecision {
                 task_id: t.task.id(),
@@ -404,7 +412,9 @@ impl OffloadingDecisionManager {
         }
 
         // Cross-check the plan against Theorem 3 directly (belt and
-        // braces: the knapsack capacity already enforces it).
+        // braces: the knapsack capacity already enforces it). The test
+        // sums locals first, so near an exact fill its load may differ
+        // from `total_density` in the last bits; it only guards.
         let locals: Vec<&Task> = self
             .tasks
             .iter()
@@ -441,7 +451,7 @@ impl OffloadingDecisionManager {
 
         Ok(OffloadingPlan {
             decisions,
-            total_density: check.load,
+            total_density,
             total_benefit,
         })
     }
@@ -499,7 +509,7 @@ impl OffloadingDecisionManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rto_mckp::{BranchBoundSolver, DpSolver, HeuOeSolver};
+    use rto_mckp::{BruteForceSolver, DpSolver, HeuOeSolver};
 
     fn ms(v: u64) -> Duration {
         Duration::from_ms(v)
@@ -630,7 +640,7 @@ mod tests {
             OdmTask::new(t2, g).with_weight(4.0),
         ])
         .unwrap();
-        let plan = odm.decide(&BranchBoundSolver::new()).unwrap();
+        let plan = odm.decide(&BruteForceSolver::default()).unwrap();
         assert_eq!(plan.num_offloaded(), 1);
         assert!(plan.get(TaskId(2)).unwrap().decision.is_offload());
         assert!(!plan.get(TaskId(1)).unwrap().decision.is_offload());
@@ -649,6 +659,31 @@ mod tests {
         let heu = odm.decide(&HeuOeSolver::new()).unwrap();
         assert!(heu.total_benefit() <= dp.total_benefit() + 1e-9);
         assert!(heu.total_benefit() >= 0.9 * dp.total_benefit());
+    }
+
+    #[test]
+    fn exact_fill_plan_has_density_exactly_one() {
+        // Densities 2/92 = 1/46 (task 1 offloaded at R = 108 ms), 7/24
+        // and 379/552 (tasks 2 and 3 local) sum to exactly 1.0 in task
+        // order, but to 1.0000000000000002 with the locals summed first.
+        // Rounded up to 10⁴ grid cells they need 10 001, so only a DP on
+        // the real densities finds this, the one feasible plan.
+        let odm = OffloadingDecisionManager::new(vec![
+            OdmTask::new(task(1, 50, 1, 1, 200), benefit(&[(0.0, 1.0), (108.0, 5.0)])),
+            OdmTask::new(task(2, 7, 1, 7, 24), benefit(&[(0.0, 1.0)])),
+            OdmTask::new(task(3, 379, 1, 379, 552), benefit(&[(0.0, 1.0)])),
+        ])
+        .unwrap();
+        let plan = odm.decide(&DpSolver::default()).unwrap();
+        assert!(plan.get(TaskId(1)).unwrap().decision.is_offload());
+        assert_eq!(plan.num_offloaded(), 1);
+        assert_eq!(plan.total_density().to_bits(), 1.0f64.to_bits());
+        let weight = odm
+            .build_instance()
+            .unwrap()
+            .selection_weight(&rto_mckp::Selection::new(vec![1, 0, 0]))
+            .unwrap();
+        assert_eq!(plan.total_density().to_bits(), weight.to_bits());
     }
 
     #[test]

@@ -1,16 +1,13 @@
-//! Property tests: the four MCKP solvers agree where they must.
+//! Property tests: the MCKP solvers agree where they must.
 //!
-//! * `brute`, `branch_bound` and (up to grid rounding) `dp` are exact and
-//!   must produce equal profits on random small instances.
+//! * `brute` and `dp` are exact and must produce bit-identical profits on
+//!   random small instances.
 //! * `heu_oe` is heuristic: feasible and bounded by the exact optimum and
 //!   the LP upper bound.
 
 use proptest::prelude::*;
 use rto_mckp::lp::lp_relaxation;
-use rto_mckp::{
-    BranchBoundSolver, BruteForceSolver, DpSolver, HeuOeSolver, Item, MckpInstance, SolveError,
-    Solver,
-};
+use rto_mckp::{BruteForceSolver, DpSolver, HeuOeSolver, Item, MckpInstance, SolveError, Solver};
 
 /// Strategy: a random instance with 1..=5 classes of 1..=5 items, weights
 /// in [0, 0.6], profits in [0, 10], capacity 1.
@@ -34,58 +31,17 @@ proptest! {
     #[test]
     fn exact_solvers_agree(inst in small_instance()) {
         let brute = BruteForceSolver::default().solve(&inst);
-        let bb = BranchBoundSolver::new().solve(&inst);
-        match (brute, bb) {
+        let dp = DpSolver::default().solve(&inst);
+        match (brute, dp) {
             (Ok(a), Ok(b)) => {
                 let pa = inst.selection_profit(&a).unwrap();
                 let pb = inst.selection_profit(&b).unwrap();
-                prop_assert!((pa - pb).abs() < 1e-9, "brute {pa} vs bb {pb}");
+                prop_assert_eq!(pa.to_bits(), pb.to_bits(), "brute {} vs dp {}", pa, pb);
                 prop_assert!(inst.is_feasible(&a));
                 prop_assert!(inst.is_feasible(&b));
             }
             (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => {}
             (x, y) => prop_assert!(false, "solver disagreement: {x:?} vs {y:?}"),
-        }
-    }
-
-    #[test]
-    fn dp_close_to_exact_and_feasible(inst in small_instance()) {
-        let dp = DpSolver::default().solve(&inst);
-        let brute = BruteForceSolver::default().solve(&inst);
-        match (dp, brute) {
-            (Ok(a), Ok(b)) => {
-                let pa = inst.selection_profit(&a).unwrap();
-                let pb = inst.selection_profit(&b).unwrap();
-                prop_assert!(inst.is_feasible(&a));
-                prop_assert!(pa <= pb + 1e-9, "dp {pa} beat exact {pb}");
-                // The DP rounds weights up onto a grid of
-                // `capacity / resolution` cells; a selection inflates by at
-                // most one cell per class. Two sound bounds follow:
-                let cell = inst.capacity() / DpSolver::DEFAULT_RESOLUTION as f64;
-                let slack_cap = inst.capacity() - inst.num_classes() as f64 * cell;
-                if inst.selection_weight(&b).unwrap() <= slack_cap {
-                    // The true optimum survives round-up, so the DP must
-                    // find it (it is exact on the rounded instance).
-                    prop_assert!(pa >= pb - 1e-9, "dp {pa} lost reachable optimum {pb}");
-                } else if let Ok(safe) = BruteForceSolver::default()
-                    .solve(&MckpInstance::new(inst.classes().to_vec(), slack_cap).unwrap())
-                {
-                    // Razor-thin fit: the optimum may be rounded away, but
-                    // every selection fitting with full rounding slack is
-                    // still representable, so the DP must beat the best one.
-                    let floor = inst.selection_profit(&safe).unwrap();
-                    prop_assert!(pa >= floor - 1e-9, "dp {pa} below sound floor {floor}");
-                }
-            }
-            (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => {}
-            // DP may declare a razor-thin instance infeasible due to
-            // round-up; accept only if the true fit is extremely tight.
-            (Err(SolveError::Infeasible), Ok(b)) => {
-                let w = inst.selection_weight(&inst.min_weight_selection()).unwrap();
-                prop_assert!(w > 1.0 - 0.01, "dp infeasible but min weight {w}");
-                let _ = b;
-            }
-            (x, y) => prop_assert!(false, "unexpected: {x:?} vs {y:?}"),
         }
     }
 
@@ -124,7 +80,7 @@ proptest! {
         let feasible = inst.has_feasible_selection();
         for solver in [
             &BruteForceSolver::default() as &dyn Solver,
-            &BranchBoundSolver::new(),
+            &DpSolver::default(),
             &HeuOeSolver::new(),
         ] {
             match solver.solve(&inst) {

@@ -111,11 +111,13 @@ echo "==> sim_bench: event-engine throughput (>=10x same-run speedup at 100k, <=
 # (scripts/bench_trend): it measures the machine as much as the code.
 cargo run --release -p rto-bench --offline -q --bin sim_bench -- --out BENCH_sim.json
 
-echo "==> mckp_bench: DP vs reference loop (identical selections, >=5x same-run speedup)"
-# The binary itself fails if any selection differs from the bench-local
-# copy of the original cell-outer DP, or if the production DP is under
-# 5x that reference at either shape (30x11 at 10^4 cells, 20x8 at 10^5).
-# Absolute ns/cell is trend data only (scripts/bench_trend).
+echo "==> mckp_bench: frontier DP vs grid reference (exact, no fallback, >=10x same-run speedup)"
+# The binary itself fails if a DpSolver selection is infeasible, less
+# profitable than the bench-local copy of the original cell-outer grid
+# DP, different in profit from brute force on the instance's
+# brute-force-sized prefix, or reached through the grid fallback, or if
+# DpSolver is under 10x that reference at either shape (30x11 at 10^4,
+# 20x8 at 10^5). Absolute us/solve is trend data only (scripts/bench_trend).
 cargo run --release -p rto-bench --offline -q --bin mckp_bench -- --out BENCH_mckp.json
 
 echo "==> loom model tests (obs metrics + exp pool, RUSTFLAGS=--cfg loom)"
