@@ -229,23 +229,15 @@ proptest! {
             odm.decide(&DpSolver::default()),
             odm.decide(&HeuOeSolver::new()),
         ) {
-            // The DP is exact on a weight grid with per-item round-up of
-            // at most 1e-4 of the capacity. If the heuristic's plan
-            // leaves more headroom than the total possible rounding
-            // inflation, that same plan is feasible in the rounded
-            // instance too, so the DP must match or beat it. In
-            // razor-thin fits (density within n·1e-4 of 1) the DP may
-            // legitimately pick a safer, slightly cheaper plan.
-            let rounding_slack = specs.len() as f64 * 1e-4;
-            if heu.total_density() <= 1.0 - rounding_slack {
-                prop_assert!(
-                    dp.total_benefit() >= heu.total_benefit() - 1e-6,
-                    "dp {} < heu {} despite density headroom ({})",
-                    dp.total_benefit(),
-                    heu.total_benefit(),
-                    heu.total_density()
-                );
-            }
+            // The DP is exact on the real densities, so no feasible plan,
+            // the heuristic's included, beats it: not even a razor-thin fit.
+            prop_assert!(
+                dp.total_benefit() >= heu.total_benefit(),
+                "dp {} < heu {} (heu density {})",
+                dp.total_benefit(),
+                heu.total_benefit(),
+                heu.total_density()
+            );
         }
     }
 }
